@@ -62,7 +62,7 @@ type MQ struct {
 	// it dedups the timers a throttling scheduler's ReadyAt arms so a
 	// backlog of N requests does not schedule N wakeups.
 	armed []sim.Time
-	// trace receives one "blk-mq" span per sampled request, opened at
+	// trace receives one "blk-mq" span per traced request, opened at
 	// submit and closed at EndIO (nil = tracing off).
 	trace *trace.Sink
 }
@@ -149,12 +149,9 @@ func (mq *MQ) SubmitAsyncTenant(op OpType, off int64, length int, flags uint32, 
 	req := mq.newRequest(op, off, length, flags, cpu, done)
 	req.Tenant = tenant
 	req.Trace = tr
-	if mq.trace != nil && tr.Sampled() {
-		// Open the blk-mq span now and re-parent the carried context under
-		// it, so driver/card spans nest inside the block layer's.
-		req.traceH = mq.trace.Begin(tr, "blk-mq")
-		req.Trace = req.traceH.Ref()
-	}
+	// Open the blk-mq span now and re-parent the carried context under it,
+	// so driver/card spans nest inside the block layer's.
+	req.traceH, req.Trace = mq.trace.Open(tr, "blk-mq")
 	if cost := mq.pathCost(); cost > 0 {
 		mq.eng.Schedule(cost, func() { mq.place(req) })
 	} else {

@@ -60,7 +60,7 @@ type Request struct {
 	// Tag is the hardware tag, assigned at dispatch (-1 before).
 	Tag int
 	// Trace is the per-I/O trace context handed to the driver (re-parented
-	// under the blk-mq span when sampled). It must be set at submit time
+	// under the blk-mq span when traced). It must be set at submit time
 	// (via SubmitAsyncTraced) because the bypass fast path can issue to
 	// the driver synchronously, before the caller sees the request.
 	Trace trace.Ref
@@ -102,9 +102,9 @@ func (r *Request) EndIO(err error) {
 			wait = 0 // completed without ever issuing (error path)
 		}
 		r.traceH.SetWait(wait)
-		r.traceH.End()
-		r.traceH = trace.H{}
 	}
+	r.traceH.End()
+	r.traceH = trace.H{}
 	cbs := r.callbacks
 	r.callbacks = nil
 	for _, cb := range cbs {

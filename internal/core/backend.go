@@ -34,9 +34,7 @@ type cardBackend struct {
 	// kernelScale is the HLS slowdown charged on non-placement kernels
 	// (the RS encoder); 1 for RTL designs.
 	kernelScale float64
-	// prof optionally records stage latencies.
-	prof *StageProfile
-	// trace records card-side spans for sampled ops (nil = off).
+	// trace records card-side spans for traced ops (nil = off).
 	trace *trace.Sink
 	// pipeNextFree serializes the card's fixed per-I/O pipeline stage.
 	pipeNextFree sim.Time
@@ -98,11 +96,11 @@ func (cb *cardBackend) process(op OpType, pattern Pattern, off int64, n, tenant 
 }
 
 func (cb *cardBackend) processExtent(op OpType, pattern Pattern, e rbd.Extent, tenant int, tr trace.Ref, done func(error)) {
-	if cb.trace != nil && tr.Sampled() {
+	if cb.trace != nil && tr.Traced() {
 		// The card-pipeline span contains placement, encode and fan-out;
 		// re-parent so those nest under it.
-		hp := cb.trace.Begin(tr, "card-pipeline")
-		tr = hp.Ref()
+		var hp trace.H
+		hp, tr = cb.trace.Open(tr, "card-pipeline")
 		inner := done
 		done = func(err error) {
 			hp.End()
@@ -114,12 +112,7 @@ func (cb *cardBackend) processExtent(op OpType, pattern Pattern, e rbd.Extent, t
 
 	// Stage ④: the placement layer's CRUSH kernel computes the placement
 	// on the card, returning its generation's kernel penalty.
-	var hsel trace.H
-	if cb.trace != nil && tr.Sampled() {
-		hsel = cb.trace.Begin(tr, "crush-select")
-	}
-	cb.place.Select(pg, cb.pool.Width(), func(extra sim.Duration, err error) {
-		hsel.End()
+	cb.place.Select(pg, cb.pool.Width(), tr, func(extra sim.Duration, err error) {
 		if err != nil {
 			done(err)
 			return
@@ -127,62 +120,65 @@ func (cb *cardBackend) processExtent(op OpType, pattern Pattern, e rbd.Extent, t
 		// The Fanout recomputes the identical placement internally; the
 		// accelerator charge above is the hardware time for it.
 		cb.after(extra+cb.reservePipe(cb.procCost), func() {
-			fanDone := func(endFan func()) func(error) {
-				return func(err error) {
-					endFan()
-					done(err)
-				}
-			}
 			switch {
 			case op == Write && cb.pool.Kind == rados.ECPool:
 				// Stage ④ continued: RS encode on the card, then shard
 				// fan-out over the card NIC (stage ⑥).
 				rs := cb.shell.RS
-				endEnc := cb.prof.span(StageEncode)
-				var henc trace.H
-				if cb.trace != nil && tr.Sampled() {
-					henc = cb.trace.Begin(tr, "rs-encode")
-				}
+				henc := cb.trace.Begin(tr, StageEncode)
 				rs.Encode(e.Len, nil, func(err error) {
 					henc.End()
-					endEnc()
 					if err != nil {
 						done(err)
 						return
 					}
 					cb.after(cb.hlsExtra(rs.Spec, 1), func() {
-						cb.fan.WriteECR(cb.pool, e.Object, e.Off, e.Len, opts,
-							fanDone(cb.prof.span(StageFanout)))
+						fopts, fdone := cb.fanout(opts, done)
+						cb.fan.WriteECR(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
 					})
 				})
 			case op == Write:
-				cb.fan.WriteReplicatedR(cb.pool, e.Object, e.Off, e.Len, opts,
-					fanDone(cb.prof.span(StageFanout)))
+				fopts, fdone := cb.fanout(opts, done)
+				cb.fan.WriteReplicatedR(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
 			case cb.pool.Kind == rados.ECPool:
-				endFan := cb.prof.span(StageFanout)
-				cb.fan.ReadECR(cb.pool, e.Object, e.Off, e.Len, opts, func(needDecode bool, err error) {
-					endFan()
+				hf, ftr := cb.trace.Open(tr, StageFanout)
+				fopts := opts
+				fopts.Trace = ftr
+				cb.fan.ReadECR(cb.pool, e.Object, e.Off, e.Len, fopts, func(needDecode bool, err error) {
+					hf.End()
 					if err != nil || !needDecode {
 						done(err)
 						return
 					}
 					// Degraded read: reconstruct on the card.
-					var hrec trace.H
-					if cb.trace != nil && tr.Sampled() {
-						hrec = cb.trace.Begin(tr, "ec-reconstruct")
-						hrec.Link(trace.KindDegraded, 0)
-					}
+					hrec := cb.trace.Begin(tr, "ec-reconstruct")
+					hrec.Link(trace.KindDegraded, 0)
 					cb.shell.RS.Encode(e.Len, nil, func(err error) {
 						hrec.End()
 						done(err)
 					})
 				})
 			default:
-				cb.fan.ReadReplicatedR(cb.pool, e.Object, e.Off, e.Len, opts,
-					fanDone(cb.prof.span(StageFanout)))
+				fopts, fdone := cb.fanout(opts, done)
+				cb.fan.ReadReplicatedR(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
 			}
 		})
 	})
+}
+
+// fanout opens an extent's fan-out span (stage ⑥) for a traced op,
+// returning the request options and completion its fan-out call runs
+// under; an untraced op gets opts and done back unchanged.
+func (cb *cardBackend) fanout(opts rados.ReqOpts, done func(error)) (rados.ReqOpts, func(error)) {
+	if cb.trace == nil || !opts.Trace.Traced() {
+		return opts, done
+	}
+	var h trace.H
+	h, opts.Trace = cb.trace.Open(opts.Trace, StageFanout)
+	return opts, func(err error) {
+		h.End()
+		done(err)
+	}
 }
 
 // hlsExtra returns the additional latency an HLS kernel pays over the RTL

@@ -25,32 +25,17 @@ type cacheTarget struct {
 	eng     *sim.Engine
 	cache   *lsvd.Cache
 	mapCost sim.Duration
-	prof    *StageProfile
 	trace   *trace.Sink
 }
 
 func (t *cacheTarget) Submit(req iouring.Request, complete func(res int32)) {
-	endKernel := t.prof.span(StageKernel)
 	length := req.Len
-	tr := req.Trace
-	var hk trace.H
-	if t.trace != nil && tr.Sampled() {
-		// Kernel span covers map cost + cache residency; the cache span
-		// and any miss-fill descent nest under it.
-		hk = t.trace.Begin(tr, "kernel")
-		tr = hk.Ref()
-	}
+	// Kernel span covers map cost + cache residency; the cache span and
+	// any miss-fill descent nest under it.
+	hk, tr := t.trace.Open(req.Trace, StageKernel)
 	t.eng.Schedule(t.mapCost, func() {
-		endCache := t.prof.span(StageCache)
-		ctr := tr
-		var hc trace.H
-		if t.trace != nil && tr.Sampled() {
-			hc = t.trace.Begin(tr, "lsvd-cache")
-			ctr = hc.Ref()
-		}
+		hc, ctr := t.trace.Open(tr, StageCache)
 		done := func(err error) {
-			endCache()
-			endKernel()
 			hc.End()
 			hk.End()
 			if err != nil {
@@ -80,13 +65,9 @@ type cacheBackend struct {
 	pool   *rados.Pool
 }
 
-func (b *cacheBackend) ReadMiss(off int64, n int, done func(error)) {
-	b.ReadMissTraced(off, n, trace.Ref{}, done)
-}
-
-// ReadMissTraced implements lsvd.TracedBackend: sampled miss fills carry
-// the caller's trace context down the inner data path.
-func (b *cacheBackend) ReadMissTraced(off int64, n int, tr trace.Ref, done func(error)) {
+// ReadMiss sends a miss fill down the inner data path under the caller's
+// trace context.
+func (b *cacheBackend) ReadMiss(off int64, n int, tr trace.Ref, done func(error)) {
 	req := iouring.Request{
 		Op:      iouring.OpRead,
 		Off:     off,
@@ -99,8 +80,8 @@ func (b *cacheBackend) ReadMissTraced(off int64, n int, tr trace.Ref, done func(
 	})
 }
 
-func (b *cacheBackend) FlushExtent(p *sim.Proc, off int64, n int) error {
-	opts := rados.ReqOpts{Random: true}
+func (b *cacheBackend) FlushExtent(p *sim.Proc, off int64, n int, tr trace.Ref) error {
+	opts := rados.ReqOpts{Random: true, Trace: tr}
 	return b.image.VisitExtents(off, n, true, func(e rbd.Extent) error {
 		return b.client.WriteOpts(p, b.pool, e.Object, e.Off, zeros(e.Len), opts)
 	})
@@ -131,7 +112,7 @@ func (tb *Testbed) buildCacheTarget(s *pipelineStack, inner iouring.Target) (*ca
 	}
 	cache.Trace = tb.traceHost
 	s.cache = cache
-	return &cacheTarget{eng: tb.Eng, cache: cache, mapCost: tb.CM.DKRBDMapCost, prof: tb.Profile, trace: tb.traceHost}, nil
+	return &cacheTarget{eng: tb.Eng, cache: cache, mapCost: tb.CM.DKRBDMapCost, trace: tb.traceHost}, nil
 }
 
 // CacheOf returns the stack's LSVD cache tier, or nil for cache-none

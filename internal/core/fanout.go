@@ -29,7 +29,7 @@ type Fanout struct {
 	// resilience.go): deadlines, retries and read failover.
 	Res *Resilience
 	// Trace, when non-nil, records a per-target span (issue → ack) for
-	// sampled ops, so the critical path can name the slowest replica/shard.
+	// traced ops, so the critical path can name the slowest replica/shard.
 	Trace *trace.Sink
 	// Raft, when non-nil, routes replicated I/O for its pool through the
 	// per-PG Raft backend (repl-raft) instead of the primary-copy fan-out;
@@ -182,10 +182,7 @@ func (f *Fanout) WriteReplicated(pool *rados.Pool, obj string, off, n int, opts 
 	for i, o := range up {
 		t := op.target(i)
 		t.osd, t.node, t.err = o, c.NodeOf(o), nil
-		t.span = trace.H{}
-		if f.Trace != nil && opts.Trace.Sampled() {
-			t.span = f.Trace.Begin(opts.Trace, "replica-write")
-		}
+		t.span = f.Trace.Begin(opts.Trace, "replica-write")
 		c.Fabric.Send(f.From, t.node, rados.HdrBytes+n, t.send)
 	}
 }
@@ -261,10 +258,7 @@ func (f *Fanout) ReadReplicated(pool *rados.Pool, obj string, off, n int, opts r
 	op := f.getRead()
 	op.opts, op.obj, op.off, op.n = opts, obj, off, n
 	op.osd, op.node, op.err, op.done = primary, c.NodeOf(primary), nil, done
-	op.span = trace.H{}
-	if f.Trace != nil && opts.Trace.Sampled() {
-		op.span = f.Trace.Begin(opts.Trace, "replica-read")
-	}
+	op.span = f.Trace.Begin(opts.Trace, "replica-read")
 	c.Fabric.Send(f.From, op.node, rados.HdrBytes, op.send)
 }
 
@@ -387,10 +381,7 @@ func (f *Fanout) WriteEC(pool *rados.Pool, obj string, off, n int, opts rados.Re
 		t.keyBuf = rados.AppendShardKey(t.keyBuf[:0], obj, off, rank)
 		t.key = string(t.keyBuf)
 		t.osd, t.node, t.err = o, c.NodeOf(o), nil
-		t.span = trace.H{}
-		if f.Trace != nil && opts.Trace.Sampled() {
-			t.span = f.Trace.Begin(opts.Trace, "ec-shard-write")
-		}
+		t.span = f.Trace.Begin(opts.Trace, "ec-shard-write")
 		c.Fabric.Send(f.From, t.node, rados.HdrBytes+shardSize, t.send)
 	}
 }
@@ -524,10 +515,7 @@ func (f *Fanout) ReadEC(pool *rados.Pool, obj string, off, n int, opts rados.Req
 		t := op.targets[i]
 		t.key = string(t.keyBuf)
 		t.node, t.err = c.NodeOf(t.osd), nil
-		t.span = trace.H{}
-		if f.Trace != nil && opts.Trace.Sampled() {
-			t.span = f.Trace.Begin(opts.Trace, "ec-shard-read")
-		}
+		t.span = f.Trace.Begin(opts.Trace, "ec-shard-read")
 		c.Fabric.Send(f.From, t.node, rados.HdrBytes, t.send)
 	}
 }

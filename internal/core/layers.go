@@ -34,7 +34,7 @@ import (
 
 // HostAPI is how block I/O enters the stack: DeLiBA-K's io_uring ring set
 // or the DeLiBA-1/2 NBD daemon loop. tr is the per-I/O trace context
-// (zero = unsampled) rooted by the stack before submission; tenant is the
+// (zero = not traced) rooted by the stack before submission; tenant is the
 // owning tenant (0 = untenanted) that rides the I/O down every layer.
 type HostAPI interface {
 	Submit(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, tr trace.Ref, done func(error))
@@ -69,10 +69,10 @@ type Placement interface {
 	// Select computes placement asynchronously on the card; cont receives
 	// the post-selection kernel penalty to charge (the HLS slowdown) and
 	// any error.
-	Select(pg uint32, width int, cont func(penalty sim.Duration, err error))
+	Select(pg uint32, width int, tr trace.Ref, cont func(penalty sim.Duration, err error))
 	// SelectOn computes placement from a blocked host proc — DeLiBA-1's
 	// offload round trip — sleeping the kernel penalty in-line.
-	SelectOn(p *sim.Proc, pg uint32, width int) error
+	SelectOn(p *sim.Proc, pg uint32, width int, tr trace.Ref) error
 }
 
 // FanoutLayer is the network path that carries replica/shard fan-out: the
@@ -138,7 +138,7 @@ func (h *nbdHost) Close() {}
 type legacyCardPath struct {
 	cm      CostModel
 	backend *cardBackend
-	prof    *StageProfile
+	trace   *trace.Sink
 }
 
 func (dp *legacyCardPath) hostCPU(OpType, int) sim.Duration { return 0 }
@@ -147,7 +147,7 @@ func (dp *legacyCardPath) run(p *sim.Proc, op OpType, pattern Pattern, off int64
 	// The transport span covers the full below-daemon round trip: H2C
 	// DMA, card residency, C2H DMA. Subtract the card stages to isolate
 	// the DMA path itself.
-	endTrans := dp.prof.span(StageTransport)
+	ht, tr := dp.trace.Open(tr, StageTransport)
 	h2c := rados.HdrBytes
 	if op == Write {
 		h2c = n
@@ -161,7 +161,7 @@ func (dp *legacyCardPath) run(p *sim.Proc, op OpType, pattern Pattern, off int64
 		c2h = n
 	}
 	p.Sleep(dp.cm.LegacyDMACost + pcieTime(c2h))
-	endTrans()
+	ht.End()
 	return err
 }
 
@@ -172,7 +172,7 @@ type clientPath struct {
 	client *rados.Client
 	image  *rbd.Image
 	pool   *rados.Pool
-	prof   *StageProfile
+	trace  *trace.Sink
 }
 
 func (dp *clientPath) hostCPU(op OpType, _ int) sim.Duration {
@@ -184,16 +184,26 @@ func (dp *clientPath) hostCPU(op OpType, _ int) sim.Duration {
 
 func (dp *clientPath) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref) error {
 	opts := rados.ReqOpts{Random: pattern == Rand, Tenant: tenant, Trace: tr}
-	return dp.image.VisitExtents(off, n, false, func(e rbd.Extent) error {
-		endFan := dp.prof.span(StageFanout)
-		var operr error
+	return clientExtents(p, dp.trace, dp.client, dp.image, dp.pool, op, off, n, false, opts)
+}
+
+// clientExtents issues one software-client request per backing-object
+// extent of [off, off+n), each under its own fan-out span; stopOnErr is
+// rbd.Image.VisitExtents's.
+func clientExtents(p *sim.Proc, sink *trace.Sink, client *rados.Client, image *rbd.Image, pool *rados.Pool,
+	op OpType, off int64, n int, stopOnErr bool, opts rados.ReqOpts) error {
+	return image.VisitExtents(off, n, stopOnErr, func(e rbd.Extent) error {
+		h, tr := sink.Open(opts.Trace, StageFanout)
+		eopts := opts
+		eopts.Trace = tr
+		var err error
 		if op == Write {
-			operr = dp.client.WriteOpts(p, dp.pool, e.Object, e.Off, zeros(e.Len), opts)
+			err = client.WriteOpts(p, pool, e.Object, e.Off, zeros(e.Len), eopts)
 		} else {
-			_, operr = dp.client.ReadOpts(p, dp.pool, e.Object, e.Off, e.Len, opts)
+			_, err = client.ReadOpts(p, pool, e.Object, e.Off, e.Len, eopts)
 		}
-		endFan()
-		return operr
+		h.End()
+		return err
 	})
 }
 
@@ -208,7 +218,7 @@ type d1Path struct {
 	image  *rbd.Image
 	pool   *rados.Pool
 	daemon *sim.Resource
-	prof   *StageProfile
+	trace  *trace.Sink
 }
 
 func (dp *d1Path) hostCPU(OpType, int) sim.Duration { return 0 }
@@ -220,12 +230,12 @@ func (dp *d1Path) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, ten
 		// The payload crosses to the card (the storage accelerators hash
 		// over the data) and back, since D1's network path is on the
 		// host; then a second round trip for the command descriptors.
-		endTrans := dp.prof.span(StageTransport)
+		ht := dp.trace.Begin(tr, StageTransport)
 		p.Sleep(2 * (cm.LegacyDMACost + pcieTime(e.Len)))
 		p.Sleep(2 * (cm.LegacyDMACost + pcieTime(rados.HdrBytes)))
-		endTrans()
+		ht.End()
 		pg := dp.tb.Cluster.PGOf(dp.pool, e.Object)
-		if err := dp.place.SelectOn(p, pg, dp.pool.Width()); err != nil {
+		if err := dp.place.SelectOn(p, pg, dp.pool.Width(), tr); err != nil {
 			return err
 		}
 		// Host-side fan-out over the kernel TCP/IP stack: one sendmsg
@@ -239,18 +249,20 @@ func (dp *d1Path) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, ten
 		dp.daemon.Use(p, 1,
 			sim.Duration(2*msgs)*(cm.D1Host.SyscallCost+cm.D1Host.ContextSwitchCost)+
 				sim.Duration(msgs)*cm.D1NetWakeup)
-		endFan := dp.prof.span(StageFanout)
+		hf, ftr := dp.trace.Open(tr, StageFanout)
+		eopts := opts
+		eopts.Trace = ftr
 		var ferr error
 		if op == Write {
 			ferr = blocking(p, func(cb func(error)) {
-				dp.fan.WriteReplicatedR(dp.pool, e.Object, e.Off, e.Len, opts, cb)
+				dp.fan.WriteReplicatedR(dp.pool, e.Object, e.Off, e.Len, eopts, cb)
 			})
 		} else {
 			ferr = blocking(p, func(cb func(error)) {
-				dp.fan.ReadReplicatedR(dp.pool, e.Object, e.Off, e.Len, opts, cb)
+				dp.fan.ReadReplicatedR(dp.pool, e.Object, e.Off, e.Len, eopts, cb)
 			})
 		}
-		endFan()
+		hf.End()
 		return ferr
 	})
 }
@@ -289,63 +301,41 @@ func (hostOnly) Driver() *uifd.Driver { return nil }
 
 // --- placements ----------------------------------------------------------
 
-// rtlPlacement is DeLiBA-K's straw2 kernel: full pipeline speed, no
-// penalty beyond the kernel occupancy itself.
-type rtlPlacement struct {
+// cardPlacement is a card's CRUSH kernel: DeLiBA-K's RTL straw2 kernel at
+// full pipeline speed, or the DeLiBA-1/2 HLS kernel with the HLS latency
+// scale charged on top of the same selection.
+type cardPlacement struct {
+	kind  PlacementKind
 	shell *fpga.Shell
-	prof  *StageProfile
+	scale float64 // HLS latency scale; unused for RTL
+	trace *trace.Sink
 }
 
-func (pl *rtlPlacement) Kind() PlacementKind { return PlacementRTL }
-func (pl *rtlPlacement) Shell() *fpga.Shell  { return pl.shell }
+func (pl *cardPlacement) Kind() PlacementKind { return pl.kind }
+func (pl *cardPlacement) Shell() *fpga.Shell  { return pl.shell }
 
-func (pl *rtlPlacement) Select(pg uint32, width int, cont func(sim.Duration, error)) {
-	end := pl.prof.span(StageAccel)
-	pl.shell.Straw2.Select(pg, width, func(_ []int, err error) {
-		end()
-		cont(0, err)
-	})
-}
-
-func (pl *rtlPlacement) SelectOn(p *sim.Proc, pg uint32, width int) error {
-	end := pl.prof.span(StageAccel)
-	_, err := pl.shell.Straw2.SelectWait(p, pg, width)
-	end()
-	return err
-}
-
-// hlsPlacement is the DeLiBA-1/2 HLS kernel: the same selection with the
-// HLS latency scale charged on top.
-type hlsPlacement struct {
-	shell *fpga.Shell
-	scale float64
-	prof  *StageProfile
-}
-
-func (pl *hlsPlacement) Kind() PlacementKind { return PlacementHLS }
-func (pl *hlsPlacement) Shell() *fpga.Shell  { return pl.shell }
-
-func (pl *hlsPlacement) penalty(passes int) sim.Duration {
-	if pl.scale <= 1 {
+// penalty is the HLS slowdown over the RTL kernel for passes selections.
+func (pl *cardPlacement) penalty(passes int) sim.Duration {
+	if pl.kind != PlacementHLS || pl.scale <= 1 {
 		return 0
 	}
 	return sim.Duration(float64(pl.shell.Straw2.Spec.PipelineLatency()) *
 		(pl.scale - 1) * float64(passes))
 }
 
-func (pl *hlsPlacement) Select(pg uint32, width int, cont func(sim.Duration, error)) {
-	end := pl.prof.span(StageAccel)
+func (pl *cardPlacement) Select(pg uint32, width int, tr trace.Ref, cont func(sim.Duration, error)) {
+	h := pl.trace.Begin(tr, StageAccel)
 	pl.shell.Straw2.Select(pg, width, func(_ []int, err error) {
-		end()
+		h.End()
 		cont(pl.penalty(width), err)
 	})
 }
 
-func (pl *hlsPlacement) SelectOn(p *sim.Proc, pg uint32, width int) error {
-	end := pl.prof.span(StageAccel)
+func (pl *cardPlacement) SelectOn(p *sim.Proc, pg uint32, width int, tr trace.Ref) error {
+	h := pl.trace.Begin(tr, StageAccel)
 	_, err := pl.shell.Straw2.SelectWait(p, pg, width)
-	end()
-	if err != nil {
+	h.End()
+	if err != nil || pl.kind != PlacementHLS {
 		return err
 	}
 	p.Sleep(pl.penalty(width))
@@ -358,10 +348,10 @@ type swPlacement struct{}
 
 func (swPlacement) Kind() PlacementKind { return PlacementSoftware }
 func (swPlacement) Shell() *fpga.Shell  { return nil }
-func (swPlacement) Select(_ uint32, _ int, cont func(sim.Duration, error)) {
+func (swPlacement) Select(_ uint32, _ int, _ trace.Ref, cont func(sim.Duration, error)) {
 	cont(0, nil)
 }
-func (swPlacement) SelectOn(*sim.Proc, uint32, int) error { return nil }
+func (swPlacement) SelectOn(*sim.Proc, uint32, int, trace.Ref) error { return nil }
 
 // --- fan-out layers ------------------------------------------------------
 
@@ -422,8 +412,9 @@ func (s *pipelineStack) Submit(op OpType, pattern Pattern, off int64, n int, cpu
 // per-tenant trace exemplars). Tenant 0 is the untenanted default and
 // leaves the event sequence identical to Submit.
 func (s *pipelineStack) SubmitTenant(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, done func(error)) {
-	// Root the per-I/O trace here: every op (sampled or not) advances the
-	// deterministic submit sequence the sampling policy keys on.
+	// Root the per-I/O trace here: every op advances the deterministic
+	// submit sequence the sampling policy keys on, and every op's root span
+	// feeds the host-API stage.
 	var tr trace.Ref
 	if sink := s.tb.traceHost; sink != nil {
 		name := "io-read"
@@ -431,21 +422,11 @@ func (s *pipelineStack) SubmitTenant(op OpType, pattern Pattern, off int64, n in
 			name = "io-write"
 		}
 		h := sink.Root(name)
-		if h.On() {
-			h.SetTenant(tenant)
-			tr = h.Ref()
-			inner := done
-			done = func(err error) {
-				h.End()
-				inner(err)
-			}
-		}
-	}
-	if prof := s.tb.Profile; prof != nil {
-		end := prof.span(StageHostAPI)
+		h.SetTenant(tenant)
+		tr = h.Ref()
 		inner := done
 		done = func(err error) {
-			end()
+			h.End()
 			inner(err)
 		}
 	}
@@ -576,11 +557,7 @@ func (tb *Testbed) buildCardSide(s *pipelineStack) (*cardBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.spec.Placement == PlacementHLS {
-		s.placement = &hlsPlacement{shell: shell, scale: tb.CM.HLSLatencyScale, prof: tb.Profile}
-	} else {
-		s.placement = &rtlPlacement{shell: shell, prof: tb.Profile}
-	}
+	s.placement = &cardPlacement{kind: s.spec.Placement, shell: shell, scale: tb.CM.HLSLatencyScale, trace: tb.traceHost}
 	fan := &Fanout{Cluster: tb.Cluster, From: cardHost, Res: tb.Res, Trace: tb.traceHost}
 	s.fanout = &cardFanout{kind: s.spec.Fanout, fan: fan}
 	procCost := tb.CM.CardProcessing
@@ -601,7 +578,6 @@ func (tb *Testbed) buildCardSide(s *pipelineStack) (*cardBackend, error) {
 		pool:        s.pool,
 		procCost:    procCost,
 		kernelScale: kernelScale,
-		prof:        tb.Profile,
 		trace:       tb.traceHost,
 	}, nil
 }
@@ -703,7 +679,7 @@ func (tb *Testbed) buildURingCard(s *pipelineStack) error {
 	s.block = &dmqBlock{kind: s.spec.Block, mq: mq}
 	mq.SetTraceSink(tb.traceHost)
 	var target iouring.Target = &dmqTarget{eng: tb.Eng, mq: mq, mapCost: tb.CM.DKRBDMapCost,
-		writeExtra: tb.CM.CardWriteOverhead, prof: tb.Profile, trace: tb.traceHost,
+		writeExtra: tb.CM.CardWriteOverhead, trace: tb.traceHost,
 		bare: s.spec.Cache == CacheLSVD}
 	if s.spec.Cache == CacheLSVD {
 		target, err = tb.buildCacheTarget(s, target)
@@ -733,7 +709,7 @@ func (tb *Testbed) buildURingClient(s *pipelineStack) error {
 	s.placement = swPlacement{}
 	s.fanout = &clientFanout{client: client}
 	var target iouring.Target = &radosTarget{tb: tb, client: client, image: s.image, pool: s.pool,
-		mapCost: tb.CM.DKRBDMapCost, prof: tb.Profile, trace: tb.traceHost,
+		mapCost: tb.CM.DKRBDMapCost, trace: tb.traceHost,
 		bare: s.spec.Cache == CacheLSVD}
 	if s.spec.Cache == CacheLSVD {
 		target, err = tb.buildCacheTarget(s, target)
@@ -763,7 +739,7 @@ func (tb *Testbed) buildNBDCard(s *pipelineStack) error {
 		profile:  tb.CM.D2Host,
 		daemon:   tb.Eng.NewResource(1),
 		procName: "d2hw-io",
-		path:     &legacyCardPath{cm: tb.CM, backend: backend, prof: tb.Profile},
+		path:     &legacyCardPath{cm: tb.CM, backend: backend, trace: tb.traceHost},
 	}
 	return nil
 }
@@ -779,11 +755,7 @@ func (tb *Testbed) buildNBDOffload(s *pipelineStack) error {
 	if err != nil {
 		return err
 	}
-	if s.spec.Placement == PlacementHLS {
-		s.placement = &hlsPlacement{shell: shell, scale: tb.CM.HLSLatencyScale, prof: tb.Profile}
-	} else {
-		s.placement = &rtlPlacement{shell: shell, prof: tb.Profile}
-	}
+	s.placement = &cardPlacement{kind: s.spec.Placement, shell: shell, scale: tb.CM.HLSLatencyScale, trace: tb.traceHost}
 	fan := &Fanout{Cluster: tb.Cluster, From: hostNIC, Res: tb.Res, Trace: tb.traceHost}
 	s.fanout = &hostFanout{fan: fan}
 	s.block = noBlock{}
@@ -795,7 +767,7 @@ func (tb *Testbed) buildNBDOffload(s *pipelineStack) error {
 		daemon:   daemon,
 		procName: "d1hw-io",
 		path: &d1Path{tb: tb, place: s.placement, fan: fan, image: s.image,
-			pool: s.pool, daemon: daemon, prof: tb.Profile},
+			pool: s.pool, daemon: daemon, trace: tb.traceHost},
 	}
 	return nil
 }
@@ -817,7 +789,7 @@ func (tb *Testbed) buildNBDClient(s *pipelineStack) error {
 		daemon:   tb.Eng.NewResource(1),
 		procName: "d2sw-io",
 		path: &clientPath{cm: tb.CM, client: client, image: s.image,
-			pool: s.pool, prof: tb.Profile},
+			pool: s.pool, trace: tb.traceHost},
 	}
 	return nil
 }

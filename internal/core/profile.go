@@ -2,97 +2,94 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
-// StageProfile collects per-stage latency histograms along the I/O
-// lifecycle — the profiling/tracing capability the paper's conclusion
-// announces as future work ("tracing Ceph and Linux kernel operations
-// related to erasure coding"). Attach one to a testbed with
-// EnableProfiling before building a stack; the DeLiBA-K pipeline then
-// records each operation's time in the kernel path, the placement
-// accelerator, the erasure encoder, and the network fan-out.
+// StageProfile is a read-only, per-stage view of the latency histograms
+// the testbed's trace sinks keep for every span name — the
+// profiling/tracing capability the paper's conclusion announces as future
+// work ("tracing Ceph and Linux kernel operations related to erasure
+// coding"). Each stage merges the histograms of the spans that mark its
+// boundary (stageSpans), so the per-stage breakdown and the per-I/O traces
+// come from one instrumentation path.
 type StageProfile struct {
-	eng *sim.Engine
-	// mu guards hists: on a split-domain testbed spans may record from
-	// more than one shard worker goroutine.
-	mu    sync.Mutex
-	hists map[string]*metrics.Histogram
+	tb *Testbed
 }
 
-// NewStageProfile returns an empty profile.
-func NewStageProfile(eng *sim.Engine) *StageProfile {
-	return &StageProfile{eng: eng, hists: make(map[string]*metrics.Histogram)}
-}
-
-// EnableProfiling attaches a profile to the testbed; stacks built after
-// this call record stage timings into it.
+// EnableProfiling attaches the stage view to the testbed and returns it.
+// Without a tracer it also attaches an aggregate-only one (SampleEvery 0:
+// histograms, no stored spans); a tracer enabled later replaces it. Either
+// way it must be called before building the stack.
 func (tb *Testbed) EnableProfiling() *StageProfile {
 	if tb.Profile == nil {
-		tb.Profile = NewStageProfile(tb.Eng)
+		tb.Profile = &StageProfile{tb: tb}
+		if tb.tracer == nil {
+			tb.attachTracer(trace.New(trace.Config{}))
+		}
 	}
 	return tb.Profile
 }
 
-// span starts a stage measurement; invoke the returned func at stage end.
-// A nil receiver is a no-op, so call sites need no guards. Both endpoints
-// read the profile's own engine clock, so the span must open AND close on
-// events of that engine's domain; a span that closes after a cross-domain
-// hop must use spanAcross instead.
-func (sp *StageProfile) span(stage string) func() {
-	if sp == nil {
-		return func() {}
-	}
-	start := sp.eng.Now()
-	return func() {
-		sp.record(stage, sp.eng.Now().Sub(start))
-	}
+// Stage name constants, one per layer boundary of the stack pipeline.
+// Outer stages contain inner ones (host-api ⊃ kernel ⊃ transport ⊃ the
+// card stages); subtracting an inner stage from its container isolates
+// that boundary's own overhead.
+const (
+	// StageHostAPI is the whole-request residency in the host API layer:
+	// submit to completion through the ring set or the NBD daemon loop
+	// (the io-read/io-write root spans).
+	StageHostAPI = "host-api"
+	// StageKernel is the kernel block-layer round trip of a request: from
+	// the UIFD RBD mapping through DMQ, QDMA, the card pipeline and back
+	// (for host-only stacks, the kernel RBD mapping residency).
+	// Subtracting the accelerator and fan-out stages isolates the kernel
+	// overhead itself.
+	StageKernel = "kernel"
+	// StageCache is the LSVD write-back cache tier residency, nested
+	// inside StageKernel: log append to durable ack for writes; cache
+	// lookup to device read (hit) or backend fill (miss) for reads.
+	StageCache = "lsvd-cache"
+	// StageTransport is the host↔card transport round trip: the blk-mq
+	// span on the DMQ path (dispatch through QDMA to completion), or the
+	// legacy DMA crossings plus card residency; on a split-domain testbed,
+	// the host→primary request leg.
+	StageTransport = "transport"
+	// StageAccel is the CRUSH placement kernel occupancy.
+	StageAccel = "crush-select"
+	// StageEncode is the RS encoder occupancy (EC writes).
+	StageEncode = "rs-encode"
+	// StageFanout is the OSD round trip of one extent: the card's network
+	// fan-out, or one software-client request.
+	StageFanout = "fanout"
+)
+
+// stageSpans maps each stage to the span names it merges; a stage absent
+// here is the span of the same name.
+var stageSpans = map[string][]string{
+	StageHostAPI:   {"io-read", "io-write"},
+	StageTransport: {"blk-mq", StageTransport},
 }
 
-// spanAcross opens a stage measurement on the domain the caller currently
-// executes on and lets it close on a *different* domain: the closer reads
-// the canonical time of the engine it executes under. Cross-domain
-// messages are posted at their canonical arrival time, so the receiving
-// engine's clock at closure IS the canonical arrival — reading the
-// opening domain's clock there would race with that domain's window
-// worker and observe a mid-window skewed time.
-func (sp *StageProfile) spanAcross(open *sim.Engine, stage string) func(close *sim.Engine) {
-	if sp == nil {
-		return func(*sim.Engine) {}
-	}
-	start := open.Now()
-	return func(close *sim.Engine) {
-		sp.record(stage, close.Now().Sub(start))
-	}
-}
-
-func (sp *StageProfile) record(stage string, d sim.Duration) {
-	sp.mu.Lock()
-	h := sp.hists[stage]
-	if h == nil {
-		h = metrics.NewHistogram()
-		sp.hists[stage] = h
-	}
-	h.Record(d)
-	sp.mu.Unlock()
-}
-
-// Stage returns the histogram for a stage (nil if never recorded).
+// Stage returns the merged histogram for a stage (nil if never recorded).
 func (sp *StageProfile) Stage(name string) *metrics.Histogram {
 	if sp == nil {
 		return nil
 	}
-	return sp.hists[name]
+	if names, ok := stageSpans[name]; ok {
+		return sp.tb.tracer.Hist(names...)
+	}
+	return sp.tb.tracer.Hist(name)
 }
 
 // Stages returns the recorded stage names, sorted.
 func (sp *StageProfile) Stages() []string {
-	names := make([]string, 0, len(sp.hists))
-	for n := range sp.hists {
-		names = append(names, n)
+	var names []string
+	for _, n := range []string{StageHostAPI, StageKernel, StageCache, StageTransport, StageAccel, StageEncode, StageFanout} {
+		if h := sp.Stage(n); h != nil && h.Count() > 0 {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -103,39 +100,9 @@ func (sp *StageProfile) Table() *metrics.Table {
 	t := metrics.NewTable("I/O lifecycle stage profile",
 		"stage", "ops", "mean", "p50", "p99", "max")
 	for _, name := range sp.Stages() {
-		h := sp.hists[name]
+		h := sp.Stage(name)
 		t.AddRow(name, h.Count(), h.Mean().String(), h.Median().String(),
 			h.Percentile(99).String(), h.Max().String())
 	}
 	return t
 }
-
-// Stage name constants, one per layer boundary of the stack pipeline.
-// Outer spans contain inner ones (host-api ⊃ kernel ⊃ transport ⊃ the card
-// stages); subtracting an inner stage from its container isolates that
-// boundary's own overhead.
-const (
-	// StageHostAPI is the whole-request residency in the host API layer:
-	// submit to completion through the ring set or the NBD daemon loop.
-	StageHostAPI = "host-api round-trip"
-	// StageKernel is the kernel block-layer round trip of a request: from
-	// the UIFD RBD mapping through DMQ, QDMA, the card pipeline and back
-	// (for host-only stacks, the kernel RBD mapping residency).
-	// Subtracting the accelerator and fan-out stages isolates the kernel
-	// overhead itself.
-	StageKernel = "kernel+device round-trip"
-	// StageCache is the LSVD write-back cache tier residency, nested
-	// inside StageKernel: log append to durable ack for writes; cache
-	// lookup to device read (hit) or backend fill (miss) for reads.
-	StageCache = "lsvd-cache"
-	// StageTransport is the host↔card transport round trip: QDMA (from
-	// blk-mq dispatch to completion) or the legacy DMA crossings plus
-	// card residency. Host-only stacks record no transport span.
-	StageTransport = "transport round-trip"
-	// StageAccel is the CRUSH placement kernel occupancy.
-	StageAccel = "crush-accelerator"
-	// StageEncode is the RS encoder occupancy (EC writes).
-	StageEncode = "rs-encoder"
-	// StageFanout is the card→OSD network round trip.
-	StageFanout = "network-fanout"
-)

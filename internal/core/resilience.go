@@ -53,7 +53,7 @@ type Resilience struct {
 
 	eng *sim.Engine
 	rng *sim.RNG
-	// trace records per-attempt spans for sampled ops (nil = off).
+	// trace records per-attempt spans for traced ops (nil = off).
 	trace *trace.Sink
 }
 
@@ -83,7 +83,7 @@ func (r *Resilience) retryPolicy() *rados.RetryPolicy {
 // from an abandoned attempt is dropped — `settled` is per-attempt, so late
 // results from a timed-out issue never double-complete done.
 //
-// For sampled ops each attempt gets a "fanout-attempt" span; the span's
+// For traced ops each attempt gets a "fanout-attempt" span; the span's
 // ref is re-parented into the issue (atr) so the fan-out target spans nest
 // under the attempt the critical path descends into, and retries cause-link
 // back to the attempt they replace.
@@ -117,16 +117,11 @@ func (r *Resilience) retry(isWrite bool, tr trace.Ref, issue func(attempt int, a
 	}
 	try = func() {
 		settled := false
-		atr := tr
-		var h trace.H
-		if r.trace != nil && tr.Sampled() {
-			h = r.trace.Begin(tr, "fanout-attempt")
-			if attempt > 0 {
-				h.Link(trace.KindRetry, prevAttempt)
-			}
-			prevAttempt = h.ID()
-			atr = h.Ref()
+		h, atr := r.trace.Open(tr, "fanout-attempt")
+		if attempt > 0 {
+			h.Link(trace.KindRetry, prevAttempt)
 		}
+		prevAttempt = h.ID()
 		var timer sim.EventID
 		armed := r.Cfg.Deadline > 0
 		if armed {
@@ -251,16 +246,11 @@ func (f *Fanout) readReplicatedShift(pool *rados.Pool, obj string, off, n int, o
 	osd := up[shift%len(up)]
 	if shift > 0 && osd != up[0] {
 		f.Res.Counters.Failovers++
-		if f.Trace != nil {
-			f.Trace.Mark(opts.Trace, "replica-failover", trace.KindFailover, 0)
-		}
+		f.Trace.Mark(opts.Trace, "replica-failover", trace.KindFailover, 0)
 	}
 	op := f.getRead()
 	op.opts, op.obj, op.off, op.n = opts, obj, off, n
 	op.osd, op.node, op.err, op.done = osd, c.NodeOf(osd), nil, done
-	op.span = trace.H{}
-	if f.Trace != nil && opts.Trace.Sampled() {
-		op.span = f.Trace.Begin(opts.Trace, "replica-read")
-	}
+	op.span = f.Trace.Begin(opts.Trace, "replica-read")
 	c.Fabric.Send(f.From, op.node, rados.HdrBytes, op.send)
 }

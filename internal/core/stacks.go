@@ -52,7 +52,7 @@ type ringSet struct {
 	rings     []*iouring.Ring
 	callbacks []map[uint64]func(error)
 	nextUD    []uint64
-	// trace records SQ-full backoff spans for sampled ops (nil = off).
+	// trace records SQ-full backoff spans for traced ops (nil = off).
 	trace *trace.Sink
 }
 
@@ -121,9 +121,8 @@ func (rs *ringSet) submitBackoff(op OpType, pattern Pattern, off int64, n int, c
 		})
 		return
 	}
-	if backoffStart >= 0 && rs.trace != nil && tr.Sampled() {
-		now := rs.eng.Now()
-		rs.trace.Emit(tr, "sq-backoff", backoffStart, now.Sub(backoffStart), 0, "", 0)
+	if backoffStart >= 0 {
+		rs.trace.Emit(tr, "sq-backoff", backoffStart, rs.eng.Now().Sub(backoffStart), 0, "", 0)
 	}
 	sqe.Trace = tr
 	sqe.Tenant = tenant
@@ -179,7 +178,6 @@ type dmqTarget struct {
 	mq         *blockmq.MQ
 	mapCost    sim.Duration
 	writeExtra sim.Duration
-	prof       *StageProfile
 	trace      *trace.Sink
 	// bare skips the kernel span and RBD map cost: the cacheTarget
 	// wrapping this target already charged them once above the cache.
@@ -193,29 +191,21 @@ func (t *dmqTarget) Submit(req iouring.Request, complete func(res int32)) {
 		op = blockmq.OpWrite
 		extra = t.writeExtra
 	}
-	endKernel := func() {}
 	delay := extra
 	tr := req.Trace
 	var hk trace.H
 	if !t.bare {
-		endKernel = t.prof.span(StageKernel)
 		delay += t.mapCost
-		if t.trace != nil && tr.Sampled() {
-			// The kernel span contains the whole below-ring residency;
-			// blk-mq and the card pipeline nest under it.
-			hk = t.trace.Begin(tr, "kernel")
-			tr = hk.Ref()
-		}
+		// The kernel span contains the whole below-ring residency;
+		// blk-mq and the card pipeline nest under it.
+		hk, tr = t.trace.Open(tr, StageKernel)
 	}
 	t.eng.Schedule(delay, func() {
-		// The transport span is the below-block-layer round trip: QDMA
-		// H2C, card residency, C2H. Subtract the card stages to isolate
-		// the transport itself.
-		endTrans := t.prof.span(StageTransport)
+		// blk-mq's own span is the transport stage: dispatch, QDMA H2C,
+		// card residency, C2H. Subtract the card stages to isolate the
+		// transport itself.
 		length := req.Len
 		t.mq.SubmitAsyncTenant(op, req.Off, int(req.Len), req.RWFlags, req.CPU, req.Tenant, tr, func(err error) {
-			endTrans()
-			endKernel()
 			hk.End()
 			if err != nil {
 				complete(iouring.ResEIO)
@@ -233,7 +223,6 @@ type radosTarget struct {
 	image   *rbd.Image
 	pool    *rados.Pool
 	mapCost sim.Duration
-	prof    *StageProfile
 	trace   *trace.Sink
 	// bare skips the kernel span and RBD map cost: the cacheTarget
 	// wrapping this target already charged them once above the cache.
@@ -243,29 +232,18 @@ type radosTarget struct {
 func (t *radosTarget) Submit(req iouring.Request, complete func(res int32)) {
 	t.tb.Eng.Spawn("dksw-io", func(p *sim.Proc) {
 		if !t.bare {
-			endKernel := t.prof.span(StageKernel)
 			// The kernel RBD residency is just the map cost here; the
 			// client round trips are siblings, not children, of it.
-			var hk trace.H
-			if t.trace != nil && req.Trace.Sampled() {
-				hk = t.trace.Begin(req.Trace, "kernel")
-			}
+			hk := t.trace.Begin(req.Trace, StageKernel)
 			p.Sleep(t.mapCost)
-			endKernel()
 			hk.End()
 		}
+		op := Read
+		if req.Op == iouring.OpWrite {
+			op = Write
+		}
 		opts := rados.ReqOpts{Random: req.RWFlags&blockmq.FlagRandom != 0, Tenant: req.Tenant, Trace: req.Trace}
-		err := t.image.VisitExtents(req.Off, int(req.Len), true, func(e rbd.Extent) error {
-			endFan := t.prof.span(StageFanout)
-			var operr error
-			if req.Op == iouring.OpWrite {
-				operr = t.client.WriteOpts(p, t.pool, e.Object, e.Off, zeros(e.Len), opts)
-			} else {
-				_, operr = t.client.ReadOpts(p, t.pool, e.Object, e.Off, e.Len, opts)
-			}
-			endFan()
-			return operr
-		})
+		err := clientExtents(p, t.trace, t.client, t.image, t.pool, op, req.Off, int(req.Len), true, opts)
 		switch {
 		case err == nil:
 			complete(int32(req.Len))
@@ -290,21 +268,10 @@ func newSWClient(tb *Testbed, name string) (*rados.Client, error) {
 	if tb.Res != nil {
 		client.Retry = tb.Res.retryPolicy()
 	}
-	if tb.Tracer != nil {
-		client.TraceSink = tb.traceHost
-	}
+	client.TraceSink = tb.traceHost
 	if tb.Cfg.SplitDomains {
 		client.Split = true
 		client.Eng = tb.Eng
-		if prof := tb.Profile; prof != nil {
-			// The split protocol's request leg ends on the OSD shard at
-			// its canonical arrival time, so the transport span must
-			// close against the arrival engine's clock (spanAcross), not
-			// the opening domain's.
-			client.TransportSpan = func() func(*sim.Engine) {
-				return prof.spanAcross(tb.Eng, StageTransport)
-			}
-		}
 	}
 	return client, nil
 }

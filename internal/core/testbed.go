@@ -117,8 +117,8 @@ type Testbed struct {
 	// ReplPool/ECPool and their images.
 	ReplPool, ECPool   *rados.Pool
 	ReplImage, ECImage *rbd.Image
-	// Profile, when non-nil (EnableProfiling), receives per-stage latency
-	// histograms from stacks built afterwards.
+	// Profile, when non-nil (EnableProfiling), is the per-stage view over
+	// the trace sinks' histograms.
 	Profile *StageProfile
 	// Res, when non-nil (Cfg.Resilience.Enabled), is the resilience state
 	// shared by every stack built on this testbed: one policy, one jitter
@@ -129,10 +129,12 @@ type Testbed struct {
 	// on repl-primary testbeds.
 	RaftSys *raft.System
 	// Tracer, when non-nil (EnableTracing), drives per-I/O span tracing in
-	// stacks built afterwards. traceHost is the host-domain sink; on a
-	// split-domain testbed each OSD node records into a sink on its own
-	// node domain.
+	// stacks built afterwards. tracer is the one the sinks belong to:
+	// Tracer, or the aggregate-only tracer EnableProfiling attaches.
+	// traceHost is the host-domain sink; on a split-domain testbed each
+	// OSD node records into a sink on its own node domain.
 	Tracer    *trace.Tracer
+	tracer    *trace.Tracer
 	traceHost *trace.Sink
 	// osdEngs, on a split-domain testbed, is the engine of each OSD node's
 	// domain in node order (nil otherwise).
@@ -154,6 +156,13 @@ func (tb *Testbed) EnableTracing(t *trace.Tracer) {
 		return
 	}
 	tb.Tracer = t
+	tb.attachTracer(t)
+}
+
+// attachTracer registers t's sinks and wires them into the testbed,
+// replacing any sinks attached before.
+func (tb *Testbed) attachTracer(t *trace.Tracer) {
+	tb.tracer = t
 	tb.traceHost = t.Sink(tb.Eng, "host")
 	if tb.Cfg.SplitDomains {
 		// One sink per node domain, registered in node order so span IDs

@@ -9,6 +9,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rados"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestBackoffWithinBounds(t *testing.T) {
@@ -325,11 +326,11 @@ func ExampleBackoff() {
 // stubTier is a minimal lsvd backend for cache-crash event tests.
 type stubTier struct{ eng *sim.Engine }
 
-func (b *stubTier) ReadMiss(off int64, n int, done func(error)) {
+func (b *stubTier) ReadMiss(off int64, n int, _ trace.Ref, done func(error)) {
 	b.eng.Schedule(50*sim.Microsecond, func() { done(nil) })
 }
 
-func (b *stubTier) FlushExtent(p *sim.Proc, off int64, n int) error {
+func (b *stubTier) FlushExtent(p *sim.Proc, off int64, n int, _ trace.Ref) error {
 	p.Sleep(50 * sim.Microsecond)
 	return nil
 }

@@ -212,9 +212,9 @@ func runWorker(p *sim.Proc, stack core.Stack, spec JobSpec, job int, res *Result
 			hotBlocks = blocks
 		}
 	}
-	var zipf *zipfGen
+	var zipf *sim.Zipf
 	if spec.ZipfTheta > 0 && spec.HotOpPct == 0 {
-		zipf = newZipfGen(blocks, spec.ZipfTheta)
+		zipf = sim.NewZipf(blocks, spec.ZipfTheta)
 	}
 	total := spec.RampOps + spec.Ops
 	allDone := eng.NewCompletion()
@@ -234,7 +234,7 @@ func runWorker(p *sim.Proc, stack core.Stack, spec JobSpec, job int, res *Result
 					off = rng.Int63n(blocks) * int64(spec.BlockSize)
 				}
 			case zipf != nil:
-				rank := zipf.next(rng)
+				rank := zipf.Next(rng)
 				// Scatter ranks across the range so the hot set is not
 				// one contiguous prefix.
 				off = (rank * 2654435761) % blocks * int64(spec.BlockSize)

@@ -215,35 +215,6 @@ func TestBlockSplitMixesSizes(t *testing.T) {
 	}
 }
 
-func TestZipfGenSkewAndDeterminism(t *testing.T) {
-	const n = 4096
-	z := newZipfGen(n, 0.99)
-	counts := make([]int, n)
-	rng := sim.NewRNG(11)
-	draws := 200000
-	for i := 0; i < draws; i++ {
-		r := z.next(rng)
-		if r < 0 || r >= n {
-			t.Fatalf("rank %d out of [0,%d)", r, n)
-		}
-		counts[r]++
-	}
-	// Rank 0 must dwarf the uniform share (draws/n ≈ 49) and the tail.
-	if counts[0] < 20*draws/n {
-		t.Fatalf("rank 0 drew %d times, want heavy skew (uniform share %d)", counts[0], draws/n)
-	}
-	if counts[0] <= counts[n-1]*10 {
-		t.Fatalf("head (%d) not ≫ tail (%d)", counts[0], counts[n-1])
-	}
-	// Same seed, same stream.
-	a, b := sim.NewRNG(7), sim.NewRNG(7)
-	for i := 0; i < 1000; i++ {
-		if z.next(a) != z.next(b) {
-			t.Fatal("zipf stream diverged for equal seeds")
-		}
-	}
-}
-
 func TestZipfWorkloadRuns(t *testing.T) {
 	res := runSpec(t, core.StackDKHW, false, JobSpec{
 		Name: "zipf", ReadPct: 100, Pattern: core.Rand,

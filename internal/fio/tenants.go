@@ -13,7 +13,7 @@ import (
 // generator as Run, but every op is attributed to a tenant drawn from a
 // Zipf-skewed tenant population, with an optional noisy-neighbor hog tenant
 // hammering the stack from its own worker while the victim population runs.
-// Latencies are recorded per tenant (compact histograms) alongside the
+// Latencies are recorded per tenant (tenant-resolution histograms) alongside the
 // aggregate result, and Jain's fairness index summarizes the isolation.
 
 // TenantJob describes a multi-tenant workload.
@@ -44,7 +44,7 @@ type TenantResult struct {
 	// Base aggregates the victim population (the hog is excluded from the
 	// aggregate histograms and meter; it appears only per tenant).
 	Base *Result
-	// PerTenant holds one compact latency histogram per tenant, hog
+	// PerTenant holds one tenant-resolution latency histogram per tenant, hog
 	// included.
 	PerTenant *metrics.TenantSet
 	// ServiceUnits is each tenant's share of device service during the
@@ -75,8 +75,8 @@ func svcUnits(size int) int64 {
 
 // VictimHist merges the non-hog tenants' histograms into one victim-side
 // aggregate (p50/p99/p999 of the victim population).
-func (tr *TenantResult) VictimHist() *metrics.CompactHistogram {
-	out := metrics.NewCompactHistogram()
+func (tr *TenantResult) VictimHist() *metrics.Histogram {
+	out := metrics.NewHistogramBits(metrics.TenantSubBucketBits)
 	for _, id := range tr.PerTenant.Tenants() {
 		if id == tr.Hog {
 			continue
@@ -87,7 +87,7 @@ func (tr *TenantResult) VictimHist() *metrics.CompactHistogram {
 }
 
 // HogHist returns the hog tenant's histogram (nil when no hog ran).
-func (tr *TenantResult) HogHist() *metrics.CompactHistogram {
+func (tr *TenantResult) HogHist() *metrics.Histogram {
 	if tr.Hog == 0 {
 		return nil
 	}
@@ -209,7 +209,7 @@ func fairnessByShare(units map[int]int64) float64 {
 type tenantDraw struct {
 	n    int64 // victim population size
 	hog  int
-	zipf *zipfGen
+	zipf *sim.Zipf
 }
 
 func newTenantDraw(spec TenantJob) *tenantDraw {
@@ -218,7 +218,7 @@ func newTenantDraw(spec TenantJob) *tenantDraw {
 		d.n--
 	}
 	if spec.TenantTheta > 0 && d.n > 1 {
-		d.zipf = newZipfGen(d.n, spec.TenantTheta)
+		d.zipf = sim.NewZipf(d.n, spec.TenantTheta)
 	}
 	return d
 }
@@ -226,7 +226,7 @@ func newTenantDraw(spec TenantJob) *tenantDraw {
 func (d *tenantDraw) next(rng *sim.RNG) int {
 	var rank int64
 	if d.zipf != nil {
-		rank = d.zipf.next(rng)
+		rank = d.zipf.Next(rng)
 	} else if d.n > 1 {
 		rank = rng.Int63n(d.n)
 	}
@@ -257,9 +257,9 @@ func runTenantWorker(p *sim.Proc, submit func(core.OpType, core.Pattern, int64, 
 	seqOff := segStart
 
 	blocks := js.OffsetRange / int64(js.BlockSize)
-	var zipf *zipfGen
+	var zipf *sim.Zipf
 	if js.ZipfTheta > 0 {
-		zipf = newZipfGen(blocks, js.ZipfTheta)
+		zipf = sim.NewZipf(blocks, js.ZipfTheta)
 	}
 	total := js.RampOps + js.Ops
 	allDone := eng.NewCompletion()
@@ -273,7 +273,7 @@ func runTenantWorker(p *sim.Proc, submit func(core.OpType, core.Pattern, int64, 
 		var off int64
 		if js.Pattern == core.Rand {
 			if zipf != nil {
-				rank := zipf.next(rng)
+				rank := zipf.Next(rng)
 				off = (rank * 2654435761) % blocks * int64(js.BlockSize)
 			} else {
 				off = rng.Int63n(blocks) * int64(js.BlockSize)

@@ -80,7 +80,7 @@ type SQE struct {
 	// account the I/O to its owner.
 	Tenant int
 	// Trace is the per-I/O trace context riding on this SQE (zero when
-	// the op is unsampled or tracing is off).
+	// tracing is off).
 	Trace trace.Ref
 }
 

@@ -21,17 +21,12 @@ const SegHdrBytes = 4096
 // Backend is the slower tier behind the cache (the RADOS data path in
 // this repo). ReadMiss fetches a read-around window on the async I/O
 // path; FlushExtent writes back one live extent durably, blocking the
-// flusher proc until the backend acknowledges.
+// flusher proc until the backend acknowledges. Both carry the trace
+// context of the op that caused them, so their data-path spans nest in
+// that op's trace.
 type Backend interface {
-	ReadMiss(off int64, n int, done func(error))
-	FlushExtent(p *sim.Proc, off int64, n int) error
-}
-
-// TracedBackend is an optional Backend extension: when implemented, miss
-// fills for sampled ops carry the per-I/O trace context down the inner
-// data path so the fill's spans nest in the op's trace.
-type TracedBackend interface {
-	ReadMissTraced(off int64, n int, tr trace.Ref, done func(error))
+	ReadMiss(off int64, n int, tr trace.Ref, done func(error))
+	FlushExtent(p *sim.Proc, off int64, n int, tr trace.Ref) error
 }
 
 // Config carries the cache-device cost parameters and log geometry.
@@ -163,7 +158,8 @@ type segment struct {
 	durable int64 // durably written bytes incl. headers
 	records []record
 	// tr is the trace context of the most recent sampled write appended
-	// to this segment; the write-back flush span cause-links to it.
+	// to this segment (else of the most recent traced one); the
+	// write-back flush span nests under it and cause-links to it.
 	tr trace.Ref
 }
 
@@ -362,9 +358,9 @@ func (c *Cache) Write(off int64, n int, done func(error)) {
 	c.WriteTraced(off, n, trace.Ref{}, done)
 }
 
-// WriteTraced is Write carrying a per-I/O trace context: sampled writes
-// tag the segments they dirty so the eventual write-back flush can
-// cause-link to them.
+// WriteTraced is Write carrying a per-I/O trace context: traced writes
+// tag the segments they dirty so the eventual write-back flush nests
+// under (and, when sampled, cause-links to) them.
 func (c *Cache) WriteTraced(off int64, n int, tr trace.Ref, done func(error)) {
 	if c.crashed || c.recovering {
 		c.pending = append(c.pending, pendingOp{write: true, off: off, n: n, tr: tr, done: done})
@@ -435,7 +431,7 @@ func (c *Cache) appendChunk(op *writeOp, n int) {
 	c.seq++
 	rec := record{off: op.off + int64(op.issued), n: n, seq: c.seq, segOff: seg.bytes + RecordHdrBytes}
 	seg.records = append(seg.records, rec)
-	if op.tr.Sampled() {
+	if op.tr.Sampled() || !seg.tr.Sampled() {
 		seg.tr = op.tr // latest sampled write wins the flush cause link
 	}
 	seg.bytes += RecordHdrBytes + int64(n)
@@ -524,9 +520,8 @@ func (c *Cache) Read(off int64, n int, done func(error)) {
 	c.ReadTraced(off, n, trace.Ref{}, done)
 }
 
-// ReadTraced is Read carrying a per-I/O trace context: sampled miss fills
-// hand it to the backend (when it implements TracedBackend) so the fill's
-// data-path spans nest in the op's trace.
+// ReadTraced is Read carrying a per-I/O trace context: miss fills hand
+// it to the backend so the fill's data-path spans nest in the op's trace.
 func (c *Cache) ReadTraced(off int64, n int, tr trace.Ref, done func(error)) {
 	if c.crashed || c.recovering {
 		c.pending = append(c.pending, pendingOp{off: off, n: n, tr: tr, done: done})
@@ -591,11 +586,7 @@ func (c *Cache) ReadTraced(off int64, n int, tr trace.Ref, done func(error)) {
 			w(err)
 		}
 	}
-	if tb, ok := c.be.(TracedBackend); ok && tr.Sampled() {
-		tb.ReadMissTraced(ra0, int(ra1-ra0), tr, fillDone)
-		return
-	}
-	c.be.ReadMiss(ra0, int(ra1-ra0), fillDone)
+	c.be.ReadMiss(ra0, int(ra1-ra0), tr, fillDone)
 }
 
 func (c *Cache) readDone(op *readOp) {
@@ -715,11 +706,9 @@ func (c *Cache) flushSegment(p *sim.Proc, seg *segment, epoch0 uint64) error {
 	// The flush span joins the trace of the last sampled write that
 	// dirtied this segment, cause-linked to that write's cache span —
 	// the "why is the backend busy" edge for tail analysis.
-	if c.Trace != nil && seg.tr.Sampled() {
-		h := c.Trace.Begin(seg.tr, "writeback-flush")
-		h.Link(trace.KindFlush, seg.tr.Parent)
-		defer h.End()
-	}
+	h, ftr := c.Trace.Open(seg.tr, "writeback-flush")
+	h.Link(trace.KindFlush, seg.tr.Parent)
+	defer h.End()
 	c.scratch = c.writeIdx.CollectSeg(seg.id, c.scratch[:0])
 	live := c.scratch
 	var liveBytes int64
@@ -736,7 +725,7 @@ func (c *Cache) flushSegment(p *sim.Proc, seg *segment, epoch0 uint64) error {
 	}
 	for i := range live {
 		e := live[i]
-		if err := c.be.FlushExtent(p, e.Off, int(e.End-e.Off)); err != nil {
+		if err := c.be.FlushExtent(p, e.Off, int(e.End-e.Off), ftr); err != nil {
 			return err
 		}
 		if c.epoch != epoch0 || c.closed {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // fakeBackend is a fixed-latency stand-in for the RADOS tier.
@@ -20,13 +21,13 @@ type fakeBackend struct {
 	failFlush  bool
 }
 
-func (b *fakeBackend) ReadMiss(off int64, n int, done func(error)) {
+func (b *fakeBackend) ReadMiss(off int64, n int, _ trace.Ref, done func(error)) {
 	b.missReads++
 	b.missBytes += int64(n)
 	b.eng.Schedule(b.missLat, func() { done(nil) })
 }
 
-func (b *fakeBackend) FlushExtent(p *sim.Proc, off int64, n int) error {
+func (b *fakeBackend) FlushExtent(p *sim.Proc, off int64, n int, _ trace.Ref) error {
 	if b.failFlush {
 		return errors.New("backend refused flush")
 	}

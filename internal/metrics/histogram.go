@@ -7,61 +7,72 @@ package metrics
 import (
 	"fmt"
 	"math"
+	mbits "math/bits"
 	"sort"
 
 	"repro/internal/sim"
 )
 
 // Histogram is a log-linear latency histogram in the spirit of HDRHistogram:
-// values are bucketed with bounded relative error (~1/subBuckets) across a
-// huge dynamic range, with O(1) recording.
+// values are bucketed with bounded relative error (~1/2^bits for bits
+// sub-bucket bits) across a huge dynamic range, with O(1) recording. Bucket
+// counts are 32-bit, so one bucket holds at most 2^32-1 observations.
 type Histogram struct {
 	count   uint64
 	sum     int64
 	min     int64
 	max     int64
-	buckets []uint64 // [exponentIndex*subBuckets + mantissaIndex]
+	bits    uint // sub-bucket bits: 2^bits sub-buckets per power of two
+	buckets []uint32
 }
 
+// Sub-bucket resolutions.
 const (
-	subBucketBits = 5 // 32 sub-buckets per power of two: ≤ ~3% relative error
-	subBuckets    = 1 << subBucketBits
-	numExponents  = 64 - subBucketBits
+	// DefaultSubBucketBits gives 32 sub-buckets per power of two: ≤ ~3%
+	// relative error in ~7.5 KB.
+	DefaultSubBucketBits = 5
+	// TenantSubBucketBits gives 16 sub-buckets per power of two: ≤ ~6%
+	// relative error in ~4 KB, small enough to keep one histogram per
+	// tenant at 10,000-tenant scale.
+	TenantSubBucketBits = 4
 )
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
+// NewHistogram returns an empty histogram at the default resolution.
+func NewHistogram() *Histogram { return NewHistogramBits(DefaultSubBucketBits) }
+
+// NewHistogramBits returns an empty histogram with 2^bits sub-buckets per
+// power of two.
+func NewHistogramBits(bits int) *Histogram {
 	return &Histogram{
 		min:     math.MaxInt64,
-		buckets: make([]uint64, numExponents*subBuckets),
+		bits:    uint(bits),
+		buckets: make([]uint32, (64-bits)<<bits),
 	}
 }
 
-func bucketIndex(v int64) int {
+// bucketIndex returns the bucket of v at the given sub-bucket bits.
+func bucketIndex(v int64, bits uint) int {
 	if v < 0 {
 		v = 0
 	}
-	if v < subBuckets {
+	if v < 1<<bits {
 		return int(v)
 	}
 	// Position of the highest set bit above the sub-bucket width.
-	exp := 63 - subBucketBits
-	for v>>(uint(exp)+subBucketBits) == 0 {
-		exp--
-	}
-	mantissa := (v >> uint(exp)) & (subBuckets - 1)
-	return (exp+1)*subBuckets + int(mantissa)
+	exp := uint(mbits.Len64(uint64(v))) - 1 - bits
+	mantissa := (v >> exp) & (1<<bits - 1)
+	return int(exp+1)<<bits + int(mantissa)
 }
 
 // bucketLow returns the smallest value mapping to bucket i; used to report
 // percentile values.
-func bucketLow(i int) int64 {
-	exp := i / subBuckets
-	mant := int64(i % subBuckets)
+func bucketLow(i int, bits uint) int64 {
+	exp := i >> bits
+	mant := int64(i & (1<<bits - 1))
 	if exp == 0 {
 		return mant
 	}
-	return (mant | subBuckets) << uint(exp-1)
+	return (mant | 1<<bits) << uint(exp-1)
 }
 
 // Record adds one observation of duration d.
@@ -78,7 +89,7 @@ func (h *Histogram) Record(d sim.Duration) {
 	if v > h.max {
 		h.max = v
 	}
-	h.buckets[bucketIndex(v)]++
+	h.buckets[bucketIndex(v, h.bits)]++
 }
 
 // Count returns the number of recorded observations.
@@ -125,9 +136,9 @@ func (h *Histogram) Percentile(q float64) sim.Duration {
 	}
 	var cum uint64
 	for i, c := range h.buckets {
-		cum += c
+		cum += uint64(c)
 		if cum >= rank {
-			v := bucketLow(i)
+			v := bucketLow(i, h.bits)
 			if v < h.min {
 				v = h.min
 			}
@@ -143,10 +154,14 @@ func (h *Histogram) Percentile(q float64) sim.Duration {
 // Median returns the 50th percentile.
 func (h *Histogram) Median() sim.Duration { return h.Percentile(50) }
 
-// Merge adds all observations of other into h.
+// Merge adds all observations of other (nil or empty: none) into h; both
+// must have the same resolution.
 func (h *Histogram) Merge(other *Histogram) {
-	if other.count == 0 {
+	if other == nil || other.count == 0 {
 		return
+	}
+	if other.bits != h.bits {
+		panic(fmt.Sprintf("metrics: merging a %d-bit histogram into a %d-bit one", other.bits, h.bits))
 	}
 	h.count += other.count
 	h.sum += other.sum

@@ -75,21 +75,11 @@ type Client struct {
 	// primary-copy paths. Unsupported on a split-domain client.
 	Repl Repl
 	// TraceSink, when non-nil, receives client-side recovery spans
-	// (retry attempts, read failovers, degraded-read decodes) for sampled
+	// (retry attempts, read failovers, degraded-read decodes) for traced
 	// ops. It must belong to the client's own domain; split-domain mode
 	// never touches it from OSD-side arrivals because retries, failover
 	// and EC are all rejected there.
 	TraceSink *trace.Sink
-
-	// TransportSpan, when non-nil, measures the host→primary request leg
-	// of each split-domain operation. It is called on the client's shard
-	// as the request is handed to the fabric; the returned func runs at
-	// the request's canonical arrival on the OSD shard and receives that
-	// shard's engine, whose clock at the arrival event IS the canonical
-	// arrival time. Reading the client engine's clock there instead would
-	// race with the host shard's window worker and observe a mid-window
-	// skewed time.
-	TransportSpan func() func(arrive *sim.Engine)
 
 	// Split routes replicated I/O through the arrival-driven split-domain
 	// protocol: the client host and the OSD nodes live in different
@@ -213,18 +203,14 @@ func (cl *Client) withRetry(p *sim.Proc, isWrite bool, tr trace.Ref, attempt fun
 	for try := 0; ; try++ {
 		c := eng.NewCompletion()
 		t := try
-		h := cl.TraceSink.Begin(tr, "rados-attempt")
+		// Children of this attempt (OSD service spans, failover markers)
+		// parent under the attempt span so the critical path can descend
+		// attempt → osd-service.
+		h, atr := cl.TraceSink.Open(tr, "rados-attempt")
 		if try > 0 {
 			h.Link(trace.KindRetry, prevAttempt)
 		}
 		prevAttempt = h.ID()
-		// Children of this attempt (OSD service spans, failover markers)
-		// parent under the attempt span so the critical path can descend
-		// attempt → osd-service; unsampled ops pass the zero Ref through.
-		atr := tr
-		if h.On() {
-			atr = h.Ref()
-		}
 		eng.Spawn("rados-attempt", func(sp *sim.Proc) {
 			v, err := attempt(sp, t, atr)
 			c.Complete(v, err)
@@ -350,14 +336,11 @@ func (cl *Client) writeReplicatedSplit(p *sim.Proc, pool *Pool, obj string, off 
 	pNode := c.NodeOf(primary)
 	fab := cl.fabric()
 	done := cl.eng().NewCompletion()
-	endNet := func(*sim.Engine) {}
-	if cl.TransportSpan != nil {
-		endNet = cl.TransportSpan()
-	}
+	sent := cl.eng().Now()
 	fab.Send(cl.Host, pNode, HdrBytes+len(data), func() {
 		// OSD-shard context from here on; spans close against the primary
 		// node's own domain clock.
-		endNet(c.EngineOf(primary))
+		c.OSDs[primary].traceArrival(opts.Trace, sent)
 		remaining := len(members)
 		var firstErr error
 		ackOne := func(err error) {
@@ -413,12 +396,9 @@ func (cl *Client) readReplicatedSplit(p *sim.Proc, pool *Pool, obj string, off, 
 	pNode := c.NodeOf(primary)
 	fab := cl.fabric()
 	done := cl.eng().NewCompletion()
-	endNet := func(*sim.Engine) {}
-	if cl.TransportSpan != nil {
-		endNet = cl.TransportSpan()
-	}
+	sent := cl.eng().Now()
 	fab.Send(cl.Host, pNode, HdrBytes, func() {
-		endNet(c.EngineOf(primary))
+		c.OSDs[primary].traceArrival(opts.Trace, sent)
 		c.OSDs[primary].SubmitOpts(opts, OpRead, obj, off, nil, n, func(r Result) {
 			if r.Err != nil {
 				rerr := r.Err
@@ -506,10 +486,8 @@ func (cl *Client) readReplicated(p *sim.Proc, pool *Pool, obj string, off, n int
 			}
 			// Instant cause marker: this attempt reads a non-primary
 			// replica because earlier attempts failed.
-			if cl.TraceSink != nil && opts.Trace.Sampled() {
-				cl.TraceSink.Emit(opts.Trace, "replica-failover",
-					cl.eng().Now(), 0, 0, trace.KindFailover, 0)
-			}
+			cl.TraceSink.Emit(opts.Trace, "replica-failover",
+				cl.eng().Now(), 0, 0, trace.KindFailover, 0)
 		}
 	}
 	if cl.PlacementCost > 0 {

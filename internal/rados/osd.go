@@ -105,7 +105,7 @@ type OSD struct {
 	ServiceHist *metrics.Histogram
 	served      uint64
 	crashes     uint64
-	// traceSink receives one "osd-service" span per sampled request,
+	// traceSink receives one "osd-service" span per traced request,
 	// split into lane-queue wait and drive service (nil = tracing off).
 	// It must be a sink registered on this OSD's own domain.
 	traceSink *trace.Sink
@@ -114,6 +114,14 @@ type OSD struct {
 // SetTraceSink wires the OSD's span sink; pass nil to disable. The sink
 // must belong to the simulation domain the OSD runs on.
 func (o *OSD) SetTraceSink(s *trace.Sink) { o.traceSink = s }
+
+// traceArrival emits the "transport" span of a split-domain request leg
+// sent at sent and arriving now. It runs on this OSD's domain, whose clock
+// at the arrival event IS the canonical arrival time; reading the sender's
+// clock here would race with the sender shard's window worker.
+func (o *OSD) traceArrival(tr trace.Ref, sent sim.Time) {
+	o.traceSink.Emit(tr, "transport", sent, o.eng.Now().Sub(sent), 0, "", 0)
+}
 
 // pendingOp is one accepted request awaiting service. idx is its position
 // in the OSD's pending slice (swap-removal keeps completion O(1)); aborted
@@ -290,7 +298,7 @@ type ReqOpts struct {
 	// accounting survives the full fan-out); tenant-scoped fault injection
 	// keys on it (SetTenantSlow).
 	Tenant int
-	// Trace is the per-I/O trace context (zero = unsampled).
+	// Trace is the per-I/O trace context (zero = not traced).
 	Trace trace.Ref
 }
 
@@ -346,10 +354,8 @@ func (o *OSD) SubmitOpts(opts ReqOpts, op OpType, obj string, off int, data []by
 		o.ServiceHist.Record(o.eng.Now().Sub(start))
 		// One uniform span name so critical-path aggregation pools all
 		// replicas into a single "osd-service" attribution bucket.
-		if o.traceSink != nil && opts.Trace.Sampled() {
-			o.traceSink.Emit(opts.Trace, "osd-service",
-				start, o.eng.Now().Sub(start), wait, "", 0)
-		}
+		o.traceSink.Emit(opts.Trace, "osd-service",
+			start, o.eng.Now().Sub(start), wait, "", 0)
 		done(res)
 	})
 }

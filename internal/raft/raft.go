@@ -455,10 +455,8 @@ func (m *member) healthChanged(alive bool) {
 		m.waiters = m.waiters[:0]
 		m.parked = m.parked[:0]
 		m.leaseUntil = 0
-		if m.electH.On() {
-			m.electH.End()
-			m.electH = trace.H{}
-		}
+		m.electH.End()
+		m.electH = trace.H{}
 		return
 	}
 	m.role = roleFollower
@@ -486,7 +484,7 @@ func (m *member) startElection() {
 	m.votes = 1
 	m.hint = -1
 	m.sys().stats.Elections++
-	if !m.electH.On() {
+	if m.electH == (trace.H{}) {
 		m.electH = m.sink().Root("leader-elect")
 		m.electH.Link(trace.KindElection, m.g.lastElect)
 	}
@@ -563,11 +561,11 @@ func (m *member) becomeLeader() {
 	m.leaseUntil = 0
 	m.votes = 0
 	m.stopElectionTimer()
+	m.electH.End()
 	if m.electH.On() {
-		m.electH.End()
 		m.g.lastElect = m.electH.ID()
-		m.electH = trace.H{}
 	}
+	m.electH = trace.H{}
 	m.broadcastAppend(trace.Ref{}) // assert leadership + first lease round
 	m.armHeartbeat()
 }
@@ -580,10 +578,8 @@ func (m *member) stepDown(term uint64) {
 		m.stopHeartbeat()
 		m.failWaiters()
 	}
-	if m.electH.On() {
-		m.electH.End()
-		m.electH = trace.H{}
-	}
+	m.electH.End()
+	m.electH = trace.H{}
 	if term > m.term {
 		m.term = term
 		m.votedFor = -1
@@ -819,9 +815,7 @@ func (m *member) completeWaiters() {
 		if w.index > m.commit {
 			break
 		}
-		if s := m.sink(); s != nil && w.tr.Sampled() {
-			s.Emit(w.tr, "raft-append", w.start, now.Sub(w.start), 0, "", 0)
-		}
+		m.sink().Emit(w.tr, "raft-append", w.start, now.Sub(w.start), 0, "", 0)
 		w.finish(true, m.idx, 0)
 	}
 	if i > 0 {

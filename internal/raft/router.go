@@ -78,11 +78,7 @@ func (r *Router) do(isWrite bool, obj string, off, n int, opts rados.ReqOpts, do
 		done(err)
 		return
 	}
-	h := r.Sink.Begin(opts.Trace, "raft-commit-wait")
-	tr := opts.Trace
-	if h.On() {
-		tr = h.Ref()
-	}
+	h, tr := r.Sink.Open(opts.Trace, "raft-commit-wait")
 	r.issue(g, r.pgState(pg), isWrite, obj, off, n, tr, done, 0, h)
 }
 
@@ -124,9 +120,7 @@ func (r *Router) issue(g *Group, st *pgState, isWrite bool, obj string, off, n i
 				hops++
 				if hops > len(g.members)+2 {
 					sys.stats.NoLeaderErrs++
-					if r.Sink != nil && tr.Sampled() {
-						r.Sink.Mark(tr, "raft-no-leader", trace.KindElection, elect)
-					}
+					r.Sink.Mark(tr, "raft-no-leader", trace.KindElection, elect)
 					h.End()
 					done(ErrNoLeader)
 					return

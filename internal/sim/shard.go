@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -243,6 +245,10 @@ func (s *Shards) runUntil(deadline Time) {
 	if workers > len(s.engines) {
 		workers = len(s.engines)
 	}
+	// panics[sh] is the panic shard sh's last window raised, if any; only
+	// the worker owning sh writes it, and the coordinator reads it after the
+	// barrier.
+	panics := make([]*shardPanic, len(s.engines))
 	var wake []chan Time
 	var wg sync.WaitGroup
 	if workers > 1 {
@@ -255,9 +261,7 @@ func (s *Shards) runUntil(deadline Time) {
 			go func(w int) {
 				for limit := range wake[w] {
 					for sh := w; sh < len(s.engines); sh += workers {
-						start := time.Now()
-						s.engines[sh].runWindow(limit)
-						s.busy[sh] += time.Since(start)
+						panics[sh] = s.runShardWindow(sh, limit)
 					}
 					wg.Done()
 				}
@@ -297,10 +301,17 @@ func (s *Shards) runUntil(deadline Time) {
 			}
 			wg.Wait()
 		} else {
-			for sh, e := range s.engines {
-				start := time.Now()
-				e.runWindow(limit)
-				s.busy[sh] += time.Since(start)
+			for sh := range s.engines {
+				if panics[sh] = s.runShardWindow(sh, limit); panics[sh] != nil {
+					break
+				}
+			}
+		}
+		// Re-panic on the caller's goroutine, where Run's caller can
+		// recover it; the lowest shard wins so the report is deterministic.
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
 			}
 		}
 		s.windows++
@@ -322,6 +333,42 @@ func (s *Shards) runUntil(deadline Time) {
 			}
 		}
 	}
+}
+
+// shardPanic is a panic raised by an event inside one shard's window. The
+// window is recovered where it ran — possibly a worker goroutine, where
+// nothing could catch it — and the panic is raised again, as a
+// *shardPanic error, on the goroutine that called Run, naming the shard
+// and the domains pinned to it.
+type shardPanic struct {
+	val     any      // the original panic value
+	shard   int      // shard whose window panicked
+	domains []string // domains pinned to that shard
+	stack   []byte   // stack of the panicking goroutine
+}
+
+func (p *shardPanic) Error() string {
+	return fmt.Sprintf("sim: shard %d (domains %s): %v\n\n%s",
+		p.shard, strings.Join(p.domains, ", "), p.val, p.stack)
+}
+
+// runShardWindow runs shard sh's events below limit, returning a panic one
+// of them raised instead of unwinding the calling goroutine.
+func (s *Shards) runShardWindow(sh int, limit Time) (p *shardPanic) {
+	defer func() {
+		if v := recover(); v != nil {
+			p = &shardPanic{val: v, shard: sh, stack: debug.Stack()}
+			for _, d := range s.domains {
+				if int(d.shard) == sh {
+					p.domains = append(p.domains, d.name)
+				}
+			}
+		}
+	}()
+	start := time.Now()
+	s.engines[sh].runWindow(limit)
+	s.busy[sh] += time.Since(start)
+	return nil
 }
 
 // ShardStats is a per-shard utilization snapshot.

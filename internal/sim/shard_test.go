@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 )
 
@@ -223,6 +224,28 @@ func TestShardPostLookaheadPanics(t *testing.T) {
 		}
 	}()
 	eng.Schedule(0, func() { sh.Post(a, b, testLookahead-1, func() {}) })
+	sh.Run()
+}
+
+// TestShardPanicNamesPlace: a panic inside a window reaches Run's caller at
+// any worker count, carrying the original value, the shard and its domains.
+func TestShardPanicNamesPlace(t *testing.T) {
+	sh := NewShards(2, testLookahead)
+	sh.AddDomainAt("a", 0)
+	_, eng := sh.AddDomainAt("b", 1)
+	defer func() {
+		p, ok := recover().(*shardPanic)
+		if !ok {
+			t.Fatal("window panic did not reach the caller as a *shardPanic")
+		}
+		if p.val != "boom" || p.shard != 1 || len(p.domains) != 1 || p.domains[0] != "b" {
+			t.Fatalf("panic = %v on shard %d domains %v, want boom on shard 1 [b]", p.val, p.shard, p.domains)
+		}
+		if !strings.Contains(p.Error(), "shard 1 (domains b): boom") {
+			t.Fatalf("panic message does not name its place: %s", p.Error())
+		}
+	}()
+	eng.Schedule(10, func() { panic("boom") })
 	sh.Run()
 }
 

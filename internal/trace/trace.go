@@ -3,22 +3,26 @@
 //
 // A Tracer is created per experiment cell; every simulation domain that
 // wants to record spans registers a Sink (one writer per domain, so shard
-// worker goroutines never share a span buffer). Sampled root operations
-// receive a trace ID derived from the cell salt and the op's submit
-// sequence number — never from wall clock — so the same (seed, cell)
-// produces bit-identical traces at any `-parallel` or `-shards` setting.
+// worker goroutines never share a span buffer). Every root operation is
+// traced: each sink keeps one latency histogram per span name, fed by
+// every span it closes or emits. Sampling only decides which ops' spans
+// are also stored as exemplars. Sampled root operations receive a trace
+// ID derived from the cell salt and the op's submit sequence number —
+// never from wall clock — so the same (seed, cell) produces bit-identical
+// traces at any `-parallel` or `-shards` setting.
 //
 // Tracing is zero-cost when off in the strong sense required by the golden
 // digests: it never schedules simulation events and never draws from any
 // seeded RNG stream, so enabling it cannot perturb simulated time even by
-// one event-ordering tiebreak. A disabled tracer (or an unsampled op)
-// yields zero-valued Ref/H handles whose methods are cheap no-op checks.
+// one event-ordering tiebreak. A disabled tracer yields zero-valued Ref/H
+// handles whose methods are cheap no-op checks.
 package trace
 
 import (
 	"sort"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -35,9 +39,9 @@ const (
 
 // Config parameterizes a per-cell Tracer.
 type Config struct {
-	// SampleEvery samples every Nth root op by submit sequence (1 = every
-	// op; 0 disables sampling entirely). Fault-scenario cells run with
-	// SampleEvery=1 so every op touched by a fault is traced.
+	// SampleEvery stores the spans of every Nth root op by submit
+	// sequence (1 = every op; 0 = none, aggregates only). Fault-scenario
+	// cells run with SampleEvery=1 so every op touched by a fault is kept.
 	SampleEvery int
 	// Salt is mixed into trace IDs; derived from the cell identity so two
 	// cells never collide and the IDs are stable across runs.
@@ -66,15 +70,24 @@ func (c Config) withDefaults() Config {
 // Ref is the trace context carried with an I/O through the pipeline and
 // across shard boundaries. It is pure data — emitting a span additionally
 // requires the local domain's Sink — so it may travel freely inside
-// requests, SQEs and network messages. The zero Ref means "not sampled";
-// every instrumentation site treats it as a no-op.
+// requests, SQEs and network messages. The zero Ref means "not traced";
+// every instrumentation site treats it as a no-op. A traced op that is not
+// sampled carries Trace = unstored and Parent = 0: its spans feed the
+// sinks' histograms but are not stored.
 type Ref struct {
-	Trace  uint64 // trace ID (0 = unsampled)
-	Parent uint64 // parent span ID within the trace (0 = root)
+	Trace  uint64 // trace ID (0 = not traced)
+	Parent uint64 // parent span ID within the trace (0 = not stored)
 }
 
-// Sampled reports whether the op this Ref rides on is being traced.
-func (r Ref) Sampled() bool { return r.Trace != 0 }
+// unstored is the Trace value of a traced op whose spans are not stored.
+const unstored = ^uint64(0)
+
+// Traced reports whether the op this Ref rides on is traced: its spans
+// feed the sinks' per-name histograms.
+func (r Ref) Traced() bool { return r.Trace != 0 }
+
+// Sampled reports whether the op's spans are also stored as exemplars.
+func (r Ref) Sampled() bool { return r.Parent != 0 }
 
 // Span is one recorded interval. IDs are globally unique within a Tracer:
 // sinkIndex+1 in the high 32 bits, the per-sink append index+1 in the low
@@ -137,21 +150,37 @@ type Sink struct {
 	idx    uint64
 	seq    uint64 // root op sequence counter (sampling basis)
 	spans  []Span
+	// hists holds one latency histogram per span name, fed by every span
+	// this sink closes or emits, stored or not.
+	hists map[string]*metrics.Histogram
+	// open holds the start of each open unstored span; free lists the
+	// closed slots for reuse.
+	open []openSpan
+	free []uint32
 }
 
-// H is a handle to an open span. The zero H is a no-op (unsampled op or
-// tracing disabled); all methods are safe on it.
+// openSpan is an open span that feeds its histogram without being stored.
+type openSpan struct {
+	hist  *metrics.Histogram
+	start sim.Time
+	gen   uint32 // bumped on close, so a stale handle cannot close it twice
+}
+
+// H is a handle to an open span. The zero H is a no-op (tracing
+// disabled); all methods are safe on it. A handle to an unstored span
+// only feeds the sink's histogram on End.
 type H struct {
-	s *Sink
-	i uint32 // local span index + 1; 0 = no-op
+	s   *Sink
+	i   uint32 // stored: span index + 1; unstored: open slot + 1; 0 = no-op
+	gen uint32 // 0 for a stored span, else the open slot's generation
 }
 
-// On reports whether the handle refers to a live span.
-func (h H) On() bool { return h.i != 0 }
+// On reports whether the handle refers to a stored (sampled) span.
+func (h H) On() bool { return h.i != 0 && h.gen == 0 }
 
-// ID returns the span's global ID, or 0 for a no-op handle.
+// ID returns the span's global ID, or 0 unless the span is stored.
 func (h H) ID() uint64 {
-	if h.i == 0 {
+	if !h.On() {
 		return 0
 	}
 	return h.s.id(h.i - 1)
@@ -159,27 +188,46 @@ func (h H) ID() uint64 {
 
 // Ref returns the context for child spans of this span.
 func (h H) Ref() Ref {
-	if h.i == 0 {
+	switch {
+	case h.i == 0:
 		return Ref{}
+	case h.gen != 0:
+		return Ref{Trace: unstored}
 	}
 	sp := &h.s.spans[h.i-1]
 	return Ref{Trace: sp.Trace, Parent: h.s.id(h.i - 1)}
 }
 
-// End closes the span at the sink's current simulated time.
+// End closes the span at the sink's current simulated time and records
+// its duration in the sink's histogram for the span's name. Call it at
+// most once per span.
 func (h H) End() {
 	if h.i == 0 {
 		return
 	}
+	now := h.s.eng.Now()
+	if h.gen != 0 {
+		o := &h.s.open[h.i-1]
+		if o.gen != h.gen {
+			return
+		}
+		o.hist.Record(now.Sub(o.start))
+		if o.gen++; o.gen == 0 {
+			o.gen = 1
+		}
+		h.s.free = append(h.s.free, h.i-1)
+		return
+	}
 	sp := &h.s.spans[h.i-1]
-	sp.Dur = h.s.eng.Now().Sub(sp.Start)
+	sp.Dur = now.Sub(sp.Start)
+	h.s.hist(sp.Name).Record(sp.Dur)
 }
 
 // Wait records the queue-wait portion of the span as the time elapsed
 // from the span's start to the sink's current simulated time. Call it at
 // the moment the op stops waiting and starts being serviced.
 func (h H) Wait() {
-	if h.i == 0 {
+	if !h.On() {
 		return
 	}
 	sp := &h.s.spans[h.i-1]
@@ -188,7 +236,7 @@ func (h H) Wait() {
 
 // SetWait records an explicitly computed queue-wait portion.
 func (h H) SetWait(w sim.Duration) {
-	if h.i == 0 {
+	if !h.On() {
 		return
 	}
 	h.s.spans[h.i-1].Wait = w
@@ -196,7 +244,7 @@ func (h H) SetWait(w sim.Duration) {
 
 // SetTenant tags the span with its owning tenant (0 = untenanted).
 func (h H) SetTenant(tenant int) {
-	if h.i == 0 {
+	if !h.On() {
 		return
 	}
 	h.s.spans[h.i-1].Tenant = tenant
@@ -205,7 +253,7 @@ func (h H) SetTenant(tenant int) {
 // Link marks the span as caused by another span (retry, failover,
 // degraded read, write-back flush).
 func (h H) Link(kind string, cause uint64) {
-	if h.i == 0 {
+	if !h.On() {
 		return
 	}
 	sp := &h.s.spans[h.i-1]
@@ -218,8 +266,9 @@ func (s *Sink) id(local uint32) uint64 {
 }
 
 // Root begins a new root span for the next submitted op, applying the
-// deterministic sampling policy. Must be called from the sink's own
-// domain, in op submit order.
+// deterministic sampling policy: a sampled op's spans are stored, any
+// other op's spans only feed the histograms. Must be called from the
+// sink's own domain, in op submit order.
 func (s *Sink) Root(name string) H {
 	if s == nil {
 		return H{}
@@ -227,27 +276,73 @@ func (s *Sink) Root(name string) H {
 	s.seq++
 	n := s.t.cfg.SampleEvery
 	if n <= 0 || (s.seq-1)%uint64(n) != 0 {
-		return H{}
+		return s.openUnstored(name)
 	}
 	tid := traceID(s.t.cfg.Salt, s.seq)
 	return s.push(Span{Trace: tid, Name: name, Start: s.eng.Now()})
 }
 
 // Begin opens a child span under parent at the sink's current simulated
-// time. Returns a no-op handle when the parent is unsampled or the sink
+// time. Returns a no-op handle when the parent is not traced or the sink
 // is nil (tracing off).
 func (s *Sink) Begin(parent Ref, name string) H {
-	if s == nil || parent.Trace == 0 {
+	switch {
+	case s == nil || !parent.Traced():
 		return H{}
+	case !parent.Sampled():
+		return s.openUnstored(name)
 	}
 	return s.push(Span{Trace: parent.Trace, Parent: parent.Parent, Name: name, Start: s.eng.Now()})
 }
 
+// Open is Begin that also returns the context for the span's children:
+// the span's own Ref, or parent itself when the span is a no-op.
+func (s *Sink) Open(parent Ref, name string) (H, Ref) {
+	h := s.Begin(parent, name)
+	if h.i == 0 {
+		return h, parent
+	}
+	return h, h.Ref()
+}
+
+// openUnstored opens a span that only feeds the histogram for name.
+func (s *Sink) openUnstored(name string) H {
+	var i uint32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		s.open = append(s.open, openSpan{gen: 1})
+		i = uint32(len(s.open) - 1)
+	}
+	o := &s.open[i]
+	o.hist, o.start = s.hist(name), s.eng.Now()
+	return H{s: s, i: i + 1, gen: o.gen}
+}
+
+// hist returns the sink's histogram for span name, creating it on first
+// use.
+func (s *Sink) hist(name string) *metrics.Histogram {
+	h := s.hists[name]
+	if h == nil {
+		if s.hists == nil {
+			s.hists = make(map[string]*metrics.Histogram)
+		}
+		h = metrics.NewHistogram()
+		s.hists[name] = h
+	}
+	return h
+}
+
 // Emit records a fully-formed retroactive span (used where start/wait were
 // measured before the emitting site runs, e.g. blk-mq completion or OSD
-// service accounting). Returns the span's global ID, or 0 when off.
+// service accounting). Returns the span's global ID, or 0 unless stored.
 func (s *Sink) Emit(parent Ref, name string, start sim.Time, dur, wait sim.Duration, kind string, cause uint64) uint64 {
-	if s == nil || parent.Trace == 0 {
+	if s == nil || !parent.Traced() {
+		return 0
+	}
+	s.hist(name).Record(dur)
+	if !parent.Sampled() {
 		return 0
 	}
 	h := s.push(Span{
@@ -259,9 +354,9 @@ func (s *Sink) Emit(parent Ref, name string, start sim.Time, dur, wait sim.Durat
 
 // Mark records an instantaneous cause-marker span at the sink's current
 // simulated time (e.g. a replica failover decision). Returns the span's
-// global ID, or 0 when off.
+// global ID, or 0 unless stored.
 func (s *Sink) Mark(parent Ref, name, kind string, cause uint64) uint64 {
-	if s == nil || parent.Trace == 0 {
+	if s == nil || !parent.Traced() {
 		return 0
 	}
 	return s.Emit(parent, name, s.eng.Now(), 0, 0, kind, cause)
@@ -281,6 +376,29 @@ func (s *Sink) Ops() uint64 {
 		return 0
 	}
 	return s.seq
+}
+
+// Hist merges every sink's histograms for the given span names into one,
+// or returns nil when none of them was recorded. Call it only after the
+// simulation has drained.
+func (t *Tracer) Hist(names ...string) *metrics.Histogram {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out *metrics.Histogram
+	for _, s := range t.sinks {
+		for _, n := range names {
+			if h := s.hists[n]; h != nil {
+				if out == nil {
+					out = metrics.NewHistogram()
+				}
+				out.Merge(h)
+			}
+		}
+	}
+	return out
 }
 
 // traceID derives a deterministic trace ID from the cell salt and the

@@ -222,3 +222,71 @@ func TestMultiSinkMerge(t *testing.T) {
 		t.Fatalf("retroactive emit fields wrong: %+v", res.Spans[1])
 	}
 }
+
+// TestAggregatesEveryOp: every root op and its children feed the sinks'
+// per-name histograms, sampled or not; sampling only decides storage.
+func TestAggregatesEveryOp(t *testing.T) {
+	for _, every := range []int{0, 1, 4} {
+		eng := sim.NewEngine()
+		tr := New(Config{SampleEvery: every, Salt: 9})
+		host, osd := tr.Sink(eng, "host"), tr.Sink(eng, "osd")
+		for i := 0; i < 16; i++ {
+			i := i
+			eng.Schedule(sim.Duration(100*i), func() {
+				root := host.Root("io")
+				child, cref := host.Open(root.Ref(), "child")
+				if !cref.Traced() {
+					t.Errorf("SampleEvery %d: child context of a traced op is untraced", every)
+				}
+				eng.Schedule(10, func() {
+					osd.Emit(cref, "svc", eng.Now()-5, 5, 0, "", 0)
+					child.End()
+				})
+				eng.Schedule(20, root.End)
+			})
+		}
+		eng.Run()
+		for name, want := range map[string]sim.Duration{"io": 20, "child": 10, "svc": 5} {
+			h := tr.Hist(name)
+			if h == nil || h.Count() != 16 || h.Min() != want || h.Max() != want {
+				t.Fatalf("SampleEvery %d: %s histogram = %v, want 16 x %v", every, name, h, want)
+			}
+		}
+		if h := tr.Hist("io", "child"); h.Count() != 32 {
+			t.Fatalf("SampleEvery %d: merged histogram count %d, want 32", every, h.Count())
+		}
+		res := tr.Finalize("cell")
+		stored := 0
+		if every > 0 {
+			stored = 16 / every
+		}
+		if res.Sampled != stored || len(res.Spans) != 3*min(stored, 4) {
+			t.Fatalf("SampleEvery %d: sampled %d, %d spans kept; want %d sampled", every, res.Sampled, len(res.Spans), stored)
+		}
+	}
+	if New(Config{}).Hist("none") != nil {
+		t.Fatal("unrecorded span name returned a histogram")
+	}
+}
+
+// TestStaleUnstoredHandle: an unstored span's slot is reused after it
+// closes, and a stale handle to it cannot close the slot's new span.
+func TestStaleUnstoredHandle(t *testing.T) {
+	eng := sim.NewEngine()
+	tr := New(Config{Salt: 1})
+	s := tr.Sink(eng, "host")
+	a := s.Root("a")
+	eng.Schedule(5, func() {
+		a.End()
+		b := s.Root("b") // reuses a's slot
+		a.End()          // stale: must not close b
+		eng.Schedule(7, b.End)
+	})
+	eng.Run()
+	if h := tr.Hist("a"); h.Count() != 1 || h.Max() != 5 {
+		t.Fatalf("a recorded %d times, max %v; want once at 5ns", h.Count(), h.Max())
+	}
+	if h := tr.Hist("b"); h.Count() != 1 || h.Max() != 7 {
+		t.Fatalf("b recorded %d times, max %v; want once at 7ns", h.Count(), h.Max())
+	}
+}
