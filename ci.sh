@@ -46,6 +46,20 @@ go test -race -count=1 -run 'TestShard|TestEngineReserve|TestFreelistCap|TestHea
     ./internal/sim/ ./internal/netsim/
 go test -race -count=1 -run 'TestScale' ./internal/rados/ ./internal/experiments/
 
+# One concurrency model: the OSD service, the software RADOS client and
+# the DK-SW ring target are continuations, not per-op procs. Pin that no
+# benchmarked stack spawns a Proc per op, that a warm OSD submit+service
+# allocates nothing, that shard keys cost one allocation, that the client's
+# proc wrappers survive a synchronous failure and an early-stopped EC read,
+# and that a Resource stays FIFO across proc and callback waiters — under
+# the race detector.
+echo "== continuation paths (race: no per-op procs + alloc pins + mixed FIFO) =="
+go test -race -count=1 -run 'TestNoPerOpProcs' ./internal/core/
+go test -race -count=1 -run 'TestOSDSubmitAllocBound|TestShardKeyOneAlloc|TestClientSynchronousFailure|TestECReadStopsAtFailedShard' \
+    ./internal/rados/
+go test -race -count=1 -run 'TestResourceFIFOMixedWaiters|TestAcquireFuncRespectsQueue|TestBlockSynchronousWake|TestResourceBacklogBounded' \
+    ./internal/sim/
+
 # The window workers only run concurrently when GOMAXPROCS > 1, and the
 # solo path only runs at 1, so pin both: the shard protocol tests, the
 # golden digests and the stage profile (whose split-domain stages are fed
@@ -56,7 +70,7 @@ for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestShard|TestEngineReserve|TestFreelistCap|TestHeapRandomOrder' \
         ./internal/sim/ ./internal/netsim/
     GOMAXPROCS=$procs go test -count=1 -run 'TestGoldenDigests' ./internal/experiments/
-    GOMAXPROCS=$procs go test -count=1 -run 'TestStageProfile' ./internal/core/
+    GOMAXPROCS=$procs go test -count=1 -run 'TestStageProfile|TestNoPerOpProcs' ./internal/core/
 done
 
 # Write-back cache tier: the LSVD log/index/flush machinery runs a

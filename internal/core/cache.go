@@ -83,7 +83,7 @@ func (b *cacheBackend) ReadMiss(off int64, n int, tr trace.Ref, done func(error)
 func (b *cacheBackend) FlushExtent(p *sim.Proc, off int64, n int, tr trace.Ref) error {
 	opts := rados.ReqOpts{Random: true, Trace: tr}
 	return b.image.VisitExtents(off, n, true, func(e rbd.Extent) error {
-		return b.client.WriteOpts(p, b.pool, e.Object, e.Off, zeros(e.Len), opts)
+		return b.client.WriteOpts(p, b.pool, e.Object, e.Off, rados.Zeros(e.Len), opts)
 	})
 }
 

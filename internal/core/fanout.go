@@ -43,23 +43,6 @@ type Fanout struct {
 	ecrFree  []*ecReadOp
 }
 
-// zeroPool avoids per-op payload allocation on the timing-only fan-out
-// paths (stores only use the length). zeros hands out overlapping views of
-// this one backing array, so the payload contract on rados.ObjectStore is
-// load-bearing here: stores must treat written payloads as read-only and
-// must not retain them (see store.go); a store that scribbled on a zeros()
-// view would corrupt every concurrent fan-out write sharing the pool.
-var zeroPool = make([]byte, 1<<20)
-
-// zeros returns an n-byte zero slice, shared when it fits the pool; larger
-// requests grow the pool (amortised) so repeated jumbo ops stay alloc-free.
-func zeros(n int) []byte {
-	if n > len(zeroPool) {
-		zeroPool = make([]byte, n)
-	}
-	return zeroPool[:n]
-}
-
 // --- replicated write --------------------------------------------------
 
 // replOp is the in-flight state of one replicated fan-out write. Ops are
@@ -101,7 +84,7 @@ func (op *replOp) target(i int) *replTarget {
 			if t.span.On() {
 				sopts.Trace = t.span.Ref()
 			}
-			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpWrite, o.obj, o.off, zeros(o.n), 0, t.onResult)
+			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpWrite, o.obj, o.off, rados.Zeros(o.n), 0, t.onResult)
 		}
 		t.onResult = func(r rados.Result) {
 			t.err = r.Err
@@ -301,7 +284,7 @@ func (op *ecWriteOp) target(i int) *ecTarget {
 			if t.span.On() {
 				sopts.Trace = t.span.Ref()
 			}
-			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpWrite, t.key, 0, zeros(o.shardSize), 0, t.onResult)
+			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpWrite, t.key, 0, rados.Zeros(o.shardSize), 0, t.onResult)
 		}
 		t.onResult = func(r rados.Result) {
 			t.err = r.Err

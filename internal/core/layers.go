@@ -184,27 +184,60 @@ func (dp *clientPath) hostCPU(op OpType, _ int) sim.Duration {
 
 func (dp *clientPath) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref) error {
 	opts := rados.ReqOpts{Random: pattern == Rand, Tenant: tenant, Trace: tr}
-	return clientExtents(p, dp.trace, dp.client, dp.image, dp.pool, op, off, n, false, opts)
+	// Block, not blocking: the daemon resumes inside the event that
+	// completes the last extent, with no completion hop.
+	var err error
+	p.Block(func(wake func()) {
+		clientExtents(dp.trace, dp.client, dp.image, dp.pool, op, off, n, false, opts, func(e error) {
+			err = e
+			wake()
+		})
+	})
+	return err
 }
 
 // clientExtents issues one software-client request per backing-object
-// extent of [off, off+n), each under its own fan-out span; stopOnErr is
-// rbd.Image.VisitExtents's.
-func clientExtents(p *sim.Proc, sink *trace.Sink, client *rados.Client, image *rbd.Image, pool *rados.Pool,
-	op OpType, off int64, n int, stopOnErr bool, opts rados.ReqOpts) error {
-	return image.VisitExtents(off, n, stopOnErr, func(e rbd.Extent) error {
+// extent of [off, off+n), one after another, each under its own fan-out
+// span, and calls done with the outcome; stopOnErr is
+// rbd.Image.VisitExtents's. done runs synchronously on a mapping error.
+func clientExtents(sink *trace.Sink, client *rados.Client, image *rbd.Image, pool *rados.Pool,
+	op OpType, off int64, n int, stopOnErr bool, opts rados.ReqOpts, done func(error)) {
+	exts, err := image.Extents(off, n)
+	if err != nil {
+		done(err)
+		return
+	}
+	var firstErr error
+	var visit func(i int)
+	visit = func(i int) {
+		if i == len(exts) {
+			done(firstErr)
+			return
+		}
+		e := exts[i]
 		h, tr := sink.Open(opts.Trace, StageFanout)
 		eopts := opts
 		eopts.Trace = tr
-		var err error
-		if op == Write {
-			err = client.WriteOpts(p, pool, e.Object, e.Off, zeros(e.Len), eopts)
-		} else {
-			_, err = client.ReadOpts(p, pool, e.Object, e.Off, e.Len, eopts)
+		next := func(err error) {
+			h.End()
+			if err != nil {
+				if stopOnErr {
+					done(err)
+					return
+				}
+				if firstErr == nil {
+					firstErr = err
+				}
+			}
+			visit(i + 1)
 		}
-		h.End()
-		return err
-	})
+		if op == Write {
+			client.WriteAsync(pool, e.Object, e.Off, rados.Zeros(e.Len), eopts, next)
+		} else {
+			client.ReadAsync(pool, e.Object, e.Off, e.Len, eopts, func(_ []byte, err error) { next(err) })
+		}
+	}
+	visit(0)
 }
 
 // d1Path is DeLiBA-1's datapath: per extent, the payload and command

@@ -230,20 +230,30 @@ type radosTarget struct {
 }
 
 func (t *radosTarget) Submit(req iouring.Request, complete func(res int32)) {
-	t.tb.Eng.Spawn("dksw-io", func(p *sim.Proc) {
-		if !t.bare {
-			// The kernel RBD residency is just the map cost here; the
-			// client round trips are siblings, not children, of it.
-			hk := t.trace.Begin(req.Trace, StageKernel)
-			p.Sleep(t.mapCost)
+	eng := t.tb.Eng
+	eng.Schedule(0, func() {
+		if t.bare {
+			t.issue(req, complete)
+			return
+		}
+		// The kernel RBD residency is just the map cost here; the client
+		// round trips are siblings, not children, of it.
+		hk := t.trace.Begin(req.Trace, StageKernel)
+		eng.Schedule(t.mapCost, func() {
 			hk.End()
-		}
-		op := Read
-		if req.Op == iouring.OpWrite {
-			op = Write
-		}
-		opts := rados.ReqOpts{Random: req.RWFlags&blockmq.FlagRandom != 0, Tenant: req.Tenant, Trace: req.Trace}
-		err := clientExtents(p, t.trace, t.client, t.image, t.pool, op, req.Off, int(req.Len), true, opts)
+			t.issue(req, complete)
+		})
+	})
+}
+
+// issue runs the request's extents through the software client.
+func (t *radosTarget) issue(req iouring.Request, complete func(res int32)) {
+	op := Read
+	if req.Op == iouring.OpWrite {
+		op = Write
+	}
+	opts := rados.ReqOpts{Random: req.RWFlags&blockmq.FlagRandom != 0, Tenant: req.Tenant, Trace: req.Trace}
+	clientExtents(t.trace, t.client, t.image, t.pool, op, req.Off, int(req.Len), true, opts, func(err error) {
 		switch {
 		case err == nil:
 			complete(int32(req.Len))

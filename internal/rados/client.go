@@ -87,9 +87,11 @@ type Client struct {
 	// queue state may be touched across the boundary. Erasure pools,
 	// retries and fault injection are unsupported in this mode.
 	Split bool
-	// Eng is the engine the client's procs and completions live on; nil
-	// means the cluster's engine (the single-domain default).
+	// Eng is the engine the client's continuations run on; nil means the
+	// cluster's engine (the single-domain default).
 	Eng *sim.Engine
+
+	free []*clientOp // recycled data-path op records
 }
 
 // NewClient attaches a client host to the cluster's fabric.
@@ -109,7 +111,7 @@ func NewClient(c *Cluster, name string, bitsPerSec float64, stack netsim.StackCo
 
 func (cl *Client) fabric() *netsim.Fabric { return cl.Cluster.Fabric }
 
-// eng returns the engine the client's completions live on.
+// eng returns the engine the client's continuations run on.
 func (cl *Client) eng() *sim.Engine {
 	if cl.Eng != nil {
 		return cl.Eng
@@ -117,92 +119,184 @@ func (cl *Client) eng() *sim.Engine {
 	return cl.Cluster.Eng
 }
 
-// shardKey names the stored shard object for an EC stripe write.
-func shardKey(obj string, off, rank int) string {
-	return ShardKey(obj, off, rank)
-}
-
 // Write stores data at (obj, off) in the pool and returns when the write is
-// durable on all reachable placement targets.
+// durable on all reachable placement targets. It blocks the proc on
+// WriteAsync and resumes it inside the event that completes the write.
 func (cl *Client) Write(p *sim.Proc, pool *Pool, obj string, off int, data []byte) error {
 	return cl.WriteOpts(p, pool, obj, off, data, ReqOpts{})
 }
 
 // WriteOpts is Write with per-request service hints.
 func (cl *Client) WriteOpts(p *sim.Proc, pool *Pool, obj string, off int, data []byte, opts ReqOpts) error {
-	if cl.Split {
-		if pool.Kind == ECPool {
-			return fmt.Errorf("rados: erasure pools are not supported on a split-domain client")
-		}
-		return cl.writeReplicatedSplit(p, pool, obj, off, data, opts)
-	}
-	repl := cl.Repl != nil && pool == cl.Repl.Pool()
-	if cl.Retry == nil {
-		if repl {
-			return cl.replWrite(p, obj, off, len(data), opts)
-		}
-		if pool.Kind == ECPool {
-			return cl.writeEC(p, pool, obj, off, data, opts)
-		}
-		return cl.writeReplicated(p, pool, obj, off, data, opts)
-	}
-	_, err := cl.withRetry(p, true, opts.Trace, func(sp *sim.Proc, try int, atr trace.Ref) (any, error) {
-		aopts := opts
-		aopts.Trace = atr
-		if repl {
-			return nil, cl.replWrite(sp, obj, off, len(data), aopts)
-		}
-		if pool.Kind == ECPool {
-			return nil, cl.writeEC(sp, pool, obj, off, data, aopts)
-		}
-		return nil, cl.writeReplicated(sp, pool, obj, off, data, aopts)
+	var err error
+	p.Block(func(wake func()) {
+		cl.WriteAsync(pool, obj, off, data, opts, func(e error) {
+			err = e
+			wake()
+		})
 	})
 	return err
 }
 
-// replWrite routes a write through the pluggable replication protocol and
-// blocks the proc until it commits. Placement is still charged here — the
-// protocol router computes PG placement just like the primary-copy path.
-func (cl *Client) replWrite(p *sim.Proc, obj string, off, n int, opts ReqOpts) error {
-	if cl.PlacementCost > 0 {
-		p.Sleep(cl.PlacementCost)
+// Read returns n bytes at (obj, off); see ReadAsync for the result's
+// lifetime.
+func (cl *Client) Read(p *sim.Proc, pool *Pool, obj string, off, n int) ([]byte, error) {
+	return cl.ReadOpts(p, pool, obj, off, n, ReqOpts{})
+}
+
+// ReadOpts is Read with per-request service hints.
+func (cl *Client) ReadOpts(p *sim.Proc, pool *Pool, obj string, off, n int, opts ReqOpts) ([]byte, error) {
+	var data []byte
+	var err error
+	p.Block(func(wake func()) {
+		cl.ReadAsync(pool, obj, off, n, opts, func(d []byte, e error) {
+			data, err = d, e
+			wake()
+		})
+	})
+	return data, err
+}
+
+// WriteAsync stores data at (obj, off) in the pool and calls done once the
+// write is durable on all reachable placement targets. done runs inside
+// the event that completes the write, or synchronously when the write
+// fails before anything is sent (no placement, too few up members).
+func (cl *Client) WriteAsync(pool *Pool, obj string, off int, data []byte, opts ReqOpts, done func(error)) {
+	if cl.Split {
+		if pool.Kind == ECPool {
+			done(fmt.Errorf("rados: erasure pools are not supported on a split-domain client"))
+			return
+		}
+		cl.writeReplicatedSplit(pool, obj, off, data, opts, done)
+		return
 	}
-	done := cl.eng().NewCompletion()
-	cl.Repl.Write(obj, off, n, opts, func(err error) { done.Complete(nil, err) })
-	_, err := p.Await(done)
-	return err
+	if cl.Retry == nil {
+		cl.writeAttempt(pool, obj, off, data, opts, done)
+		return
+	}
+	cl.withRetry(true, opts.Trace, func(_ int, atr trace.Ref, adone func([]byte, error)) {
+		aopts := opts
+		aopts.Trace = atr
+		cl.writeAttempt(pool, obj, off, data, aopts, func(err error) { adone(nil, err) })
+	}, func(_ []byte, err error) { done(err) })
+}
+
+// writeAttempt issues one write through the pool's protocol.
+func (cl *Client) writeAttempt(pool *Pool, obj string, off int, data []byte, opts ReqOpts, done func(error)) {
+	switch {
+	case cl.Repl != nil && pool == cl.Repl.Pool():
+		cl.replWrite(obj, off, len(data), opts, done)
+	case pool.Kind == ECPool:
+		cl.writeEC(pool, obj, off, data, opts, done)
+	default:
+		cl.writeReplicated(pool, obj, off, data, opts, done)
+	}
+}
+
+// ReadAsync fetches n bytes at (obj, off) and calls done with them, with
+// the same timing of done as WriteAsync. The result is read-only: it may
+// be a store's shared scratch buffer or a view of the shared zero slab
+// (see Zeros), valid until the next read.
+func (cl *Client) ReadAsync(pool *Pool, obj string, off, n int, opts ReqOpts, done func([]byte, error)) {
+	if cl.Split {
+		if pool.Kind == ECPool {
+			done(nil, fmt.Errorf("rados: erasure pools are not supported on a split-domain client"))
+			return
+		}
+		cl.readReplicatedSplit(pool, obj, off, n, opts, done)
+		return
+	}
+	if cl.Retry == nil {
+		cl.readAttempt(pool, obj, off, n, opts, 0, done)
+		return
+	}
+	cl.withRetry(false, opts.Trace, func(try int, atr trace.Ref, adone func([]byte, error)) {
+		aopts := opts
+		aopts.Trace = atr
+		cl.readAttempt(pool, obj, off, n, aopts, try, adone)
+	}, done)
+}
+
+// readAttempt issues one read through the pool's protocol; shift is the
+// replica rotation of readReplicated.
+func (cl *Client) readAttempt(pool *Pool, obj string, off, n int, opts ReqOpts, shift int, done func([]byte, error)) {
+	switch {
+	case cl.Repl != nil && pool == cl.Repl.Pool():
+		cl.replRead(obj, off, n, opts, done)
+	case pool.Kind == ECPool:
+		cl.readEC(pool, obj, off, n, opts, done)
+	default:
+		cl.readReplicated(pool, obj, off, n, opts, shift, done)
+	}
+}
+
+// afterPlacement charges the client's CRUSH placement time, then runs k.
+func (cl *Client) afterPlacement(k func()) {
+	if cl.PlacementCost > 0 {
+		cl.eng().Schedule(cl.PlacementCost, k)
+		return
+	}
+	k()
+}
+
+// await starts call and hands its result to k the way a proc's Completion
+// and Await did: inline when call completes synchronously, otherwise one
+// event after it completes.
+func (cl *Client) await(call func(cb func(error)), k func(error)) {
+	calling, fired := true, false
+	var syncErr error
+	call(func(err error) {
+		if calling {
+			fired, syncErr = true, err
+			return
+		}
+		cl.eng().Schedule(0, func() { k(err) })
+	})
+	calling = false
+	if fired {
+		k(syncErr)
+	}
+}
+
+// replWrite routes a write through the pluggable replication protocol.
+// Placement is still charged here — the protocol router computes PG
+// placement just like the primary-copy path.
+func (cl *Client) replWrite(obj string, off, n int, opts ReqOpts, done func(error)) {
+	cl.afterPlacement(func() {
+		cl.await(func(cb func(error)) { cl.Repl.Write(obj, off, n, opts, cb) }, done)
+	})
 }
 
 // replRead routes a read through the pluggable replication protocol. The
 // protocol layer is a timing/availability model over synthetic payloads, so
 // the client hands back zeros of the requested length.
-func (cl *Client) replRead(p *sim.Proc, obj string, off, n int, opts ReqOpts) ([]byte, error) {
-	if cl.PlacementCost > 0 {
-		p.Sleep(cl.PlacementCost)
-	}
-	done := cl.eng().NewCompletion()
-	cl.Repl.Read(obj, off, n, opts, func(err error) { done.Complete(nil, err) })
-	if _, err := p.Await(done); err != nil {
-		return nil, err
-	}
-	return zeroBytes(n), nil
+func (cl *Client) replRead(obj string, off, n int, opts ReqOpts, done func([]byte, error)) {
+	cl.afterPlacement(func() {
+		cl.await(func(cb func(error)) { cl.Repl.Read(obj, off, n, opts, cb) }, func(err error) {
+			if err != nil {
+				done(nil, err)
+				return
+			}
+			done(Zeros(n), nil)
+		})
+	})
 }
 
-// withRetry drives attempt through the retry policy. Each attempt runs in
-// its own proc so a deadline can abandon it: the attempt proc keeps running
-// to completion (the cluster may still apply the op), but nobody observes
-// its result — the same semantics as a timed-out RPC. Write outcomes feed
-// the counters' unavailability-window tracking: a write that exhausts its
-// budget opens a stall window backdated to the op's start, the next
-// committed write closes it.
-func (cl *Client) withRetry(p *sim.Proc, isWrite bool, tr trace.Ref, attempt func(sp *sim.Proc, try int, atr trace.Ref) (any, error)) (any, error) {
+// withRetry drives attempt through the retry policy. A deadline abandons an
+// attempt without stopping it: the attempt runs on to completion (the
+// cluster may still apply the op), but nobody observes its result — the
+// same semantics as a timed-out RPC. Each attempt starts one event after it
+// is issued, and its result reaches the retry loop one event after it
+// completes. Write outcomes feed the counters' unavailability-window
+// tracking: a write that exhausts its budget opens a stall window
+// backdated to the op's start, the next committed write closes it.
+func (cl *Client) withRetry(isWrite bool, tr trace.Ref, attempt func(try int, atr trace.Ref, done func([]byte, error)), done func([]byte, error)) {
 	r := cl.Retry
-	eng := cl.Cluster.Eng
+	eng := cl.eng()
 	start := eng.Now()
 	var prevAttempt uint64 // span ID of the previous attempt (cause link)
-	for try := 0; ; try++ {
-		c := eng.NewCompletion()
-		t := try
+	var issue func(try int)
+	issue = func(try int) {
 		// Children of this attempt (OSD service spans, failover markers)
 		// parent under the attempt span so the critical path can descend
 		// attempt → osd-service.
@@ -211,114 +305,104 @@ func (cl *Client) withRetry(p *sim.Proc, isWrite bool, tr trace.Ref, attempt fun
 			h.Link(trace.KindRetry, prevAttempt)
 		}
 		prevAttempt = h.ID()
-		eng.Spawn("rados-attempt", func(sp *sim.Proc) {
-			v, err := attempt(sp, t, atr)
-			c.Complete(v, err)
-		})
-		var v any
-		var err error
-		if r.Deadline > 0 {
-			var ok bool
-			v, err, ok = p.AwaitTimeout(c, r.Deadline)
-			if !ok {
-				if r.Counters != nil {
-					r.Counters.DeadlineExceeded++
+		waiting := true
+		var timer sim.EventID
+		observe := func(data []byte, err error) {
+			// The attempt span ends when the caller stops observing it —
+			// at completion or at deadline abandonment.
+			h.End()
+			if err == nil || try >= r.MaxRetries {
+				if isWrite && r.Counters != nil {
+					if err == nil {
+						r.Counters.WriteOK(eng.Now())
+					} else {
+						r.Counters.WriteFailed(start)
+					}
 				}
-				v, err = nil, ErrDeadline
+				done(data, err)
+				return
 			}
-		} else {
-			v, err = p.Await(c)
-		}
-		// The attempt span ends when the caller stops observing it — at
-		// completion or at deadline abandonment (the proc may run on).
-		h.End()
-		if err == nil || try >= r.MaxRetries {
-			if isWrite && r.Counters != nil {
-				if err == nil {
-					r.Counters.WriteOK(eng.Now())
-				} else {
-					r.Counters.WriteFailed(start)
+			if r.Counters != nil {
+				r.Counters.Retries++
+			}
+			if r.Backoff != nil {
+				if d := r.Backoff(try); d > 0 {
+					eng.Schedule(d, func() { issue(try + 1) })
+					return
 				}
 			}
-			return v, err
+			issue(try + 1)
 		}
-		if r.Counters != nil {
-			r.Counters.Retries++
-		}
-		if r.Backoff != nil {
-			if d := r.Backoff(try); d > 0 {
-				p.Sleep(d)
-			}
-		}
-	}
-}
-
-func (cl *Client) writeReplicated(p *sim.Proc, pool *Pool, obj string, off int, data []byte, opts ReqOpts) error {
-	c := cl.Cluster
-	acting, err := c.ActingSet(pool, c.PGOf(pool, obj))
-	if err != nil {
-		return err
-	}
-	var up []int
-	for _, o := range acting {
-		if o != crush.ItemNone && c.OSDs[o].Up() {
-			up = append(up, o)
-		}
-	}
-	if len(up) == 0 {
-		return fmt.Errorf("rados: pg for %q has no up replicas", obj)
-	}
-	if cl.PlacementCost > 0 {
-		p.Sleep(cl.PlacementCost)
-	}
-	primary := up[0]
-	pNode := c.NodeOf(primary)
-	cl.fabric().SendWait(p, cl.Host, pNode, HdrBytes+len(data))
-
-	// Primary writes locally and replicates to the other up members in
-	// parallel; each follower acks the primary.
-	comps := make([]*sim.Completion, 0, len(up))
-	local := c.Eng.NewCompletion()
-	c.OSDs[primary].SubmitOpts(opts, OpWrite, obj, off, data, 0, func(r Result) {
-		local.Complete(nil, r.Err)
-	})
-	comps = append(comps, local)
-	for _, o := range up[1:] {
-		o := o
-		comp := c.Eng.NewCompletion()
-		oNode := c.NodeOf(o)
-		cl.fabric().Send(pNode, oNode, HdrBytes+len(data), func() {
-			c.OSDs[o].SubmitOpts(opts, OpWrite, obj, off, data, 0, func(r Result) {
-				cl.fabric().Send(oNode, pNode, HdrBytes, func() {
-					comp.Complete(nil, r.Err)
+		eng.Schedule(0, func() {
+			attempt(try, atr, func(data []byte, err error) {
+				eng.Schedule(0, func() {
+					if !waiting {
+						return // abandoned at the deadline
+					}
+					waiting = false
+					eng.Cancel(timer)
+					observe(data, err)
 				})
 			})
 		})
-		comps = append(comps, comp)
-	}
-	var firstErr error
-	for _, comp := range comps {
-		if _, err := p.Await(comp); err != nil && firstErr == nil {
-			firstErr = err
+		if r.Deadline > 0 {
+			timer = eng.Schedule(r.Deadline, func() {
+				if !waiting {
+					return
+				}
+				waiting = false
+				if r.Counters != nil {
+					r.Counters.DeadlineExceeded++
+				}
+				observe(nil, ErrDeadline)
+			})
 		}
 	}
-	cl.fabric().SendWait(p, pNode, cl.Host, HdrBytes)
-	return firstErr
+	issue(0)
+}
+
+func (cl *Client) writeReplicated(pool *Pool, obj string, off int, data []byte, opts ReqOpts, done func(error)) {
+	c := cl.Cluster
+	acting, err := c.ActingSet(pool, c.PGOf(pool, obj))
+	if err != nil {
+		done(err)
+		return
+	}
+	op := cl.getOp(pool, true)
+	for _, o := range acting {
+		if o != crush.ItemNone && c.OSDs[o].Up() {
+			// Every up member is a leg; the first is the primary, which
+			// writes locally while replicating to the others.
+			l := op.leg()
+			l.osd, l.node, l.local = o, c.NodeOf(o), op.nlegs == 1
+			l.kind, l.obj, l.off, l.data, l.n = OpWrite, obj, off, data, 0
+			l.reqBytes, l.ackBytes = HdrBytes+len(data), HdrBytes
+		}
+	}
+	if op.nlegs == 0 {
+		op.recycle()
+		done(fmt.Errorf("rados: pg for %q has no up replicas", obj))
+		return
+	}
+	op.data, op.opts, op.writeDone = data, opts, done
+	op.pNode = op.legs[0].node
+	op.advance()
 }
 
 // writeReplicatedSplit is the replicated write on a split-domain
 // deployment. Every piece of OSD-side work runs inside a fabric arrival
 // on the OSD shard; follower acks are counted at the primary rather than
-// awaited as client-side completions, and the client observes exactly one
-// completion, completed by the final primary→client ack arriving back on
-// its own shard. Fault injection is rejected in split mode, so the acting
-// set is taken as healthy (no up/down filtering — reading OSD state from
-// the host shard would cross the domain boundary).
-func (cl *Client) writeReplicatedSplit(p *sim.Proc, pool *Pool, obj string, off int, data []byte, opts ReqOpts) error {
+// awaited on the client, and the client observes exactly one arrival, the
+// final primary→client ack on its own shard. Fault injection is rejected
+// in split mode, so the acting set is taken as healthy (no up/down
+// filtering — reading OSD state from the host shard would cross the domain
+// boundary).
+func (cl *Client) writeReplicatedSplit(pool *Pool, obj string, off int, data []byte, opts ReqOpts, done func(error)) {
 	c := cl.Cluster
 	acting, err := c.ActingSetUncached(pool, c.PGOf(pool, obj))
 	if err != nil {
-		return err
+		done(err)
+		return
 	}
 	members := acting[:0]
 	for _, o := range acting {
@@ -327,58 +411,56 @@ func (cl *Client) writeReplicatedSplit(p *sim.Proc, pool *Pool, obj string, off 
 		}
 	}
 	if len(members) == 0 {
-		return fmt.Errorf("rados: pg for %q has no placed replicas", obj)
+		done(fmt.Errorf("rados: pg for %q has no placed replicas", obj))
+		return
 	}
-	if cl.PlacementCost > 0 {
-		p.Sleep(cl.PlacementCost)
-	}
-	primary := members[0]
-	pNode := c.NodeOf(primary)
-	fab := cl.fabric()
-	done := cl.eng().NewCompletion()
-	sent := cl.eng().Now()
-	fab.Send(cl.Host, pNode, HdrBytes+len(data), func() {
-		// OSD-shard context from here on; spans close against the primary
-		// node's own domain clock.
-		c.OSDs[primary].traceArrival(opts.Trace, sent)
-		remaining := len(members)
-		var firstErr error
-		ackOne := func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
+	cl.afterPlacement(func() {
+		primary := members[0]
+		pNode := c.NodeOf(primary)
+		fab := cl.fabric()
+		sent := cl.eng().Now()
+		fab.Send(cl.Host, pNode, HdrBytes+len(data), func() {
+			// OSD-shard context from here on; spans close against the
+			// primary node's own domain clock.
+			c.OSDs[primary].traceArrival(opts.Trace, sent)
+			remaining := len(members)
+			var firstErr error
+			ackOne := func(err error) {
+				if err != nil && firstErr == nil {
+					firstErr = err
+				}
+				if remaining--; remaining == 0 {
+					e := firstErr
+					fab.Send(pNode, cl.Host, HdrBytes, func() {
+						cl.eng().Schedule(0, func() { done(e) })
+					})
+				}
 			}
-			if remaining--; remaining == 0 {
-				e := firstErr
-				fab.Send(pNode, cl.Host, HdrBytes, func() {
-					done.Complete(nil, e)
-				})
-			}
-		}
-		c.OSDs[primary].SubmitOpts(opts, OpWrite, obj, off, data, 0, func(r Result) {
-			ackOne(r.Err)
-		})
-		for _, o := range members[1:] {
-			o := o
-			oNode := c.NodeOf(o)
-			fab.Send(pNode, oNode, HdrBytes+len(data), func() {
-				c.OSDs[o].SubmitOpts(opts, OpWrite, obj, off, data, 0, func(r Result) {
-					fab.Send(oNode, pNode, HdrBytes, func() { ackOne(r.Err) })
-				})
+			c.OSDs[primary].SubmitOpts(opts, OpWrite, obj, off, data, 0, func(r Result) {
+				ackOne(r.Err)
 			})
-		}
+			for _, o := range members[1:] {
+				o := o
+				oNode := c.NodeOf(o)
+				fab.Send(pNode, oNode, HdrBytes+len(data), func() {
+					c.OSDs[o].SubmitOpts(opts, OpWrite, obj, off, data, 0, func(r Result) {
+						fab.Send(oNode, pNode, HdrBytes, func() { ackOne(r.Err) })
+					})
+				})
+			}
+		})
 	})
-	_, err = p.Await(done)
-	return err
 }
 
 // readReplicatedSplit is the primary read on a split-domain deployment:
 // arrival-driven like writeReplicatedSplit, with the payload handed back
 // to the host shard inside the response message.
-func (cl *Client) readReplicatedSplit(p *sim.Proc, pool *Pool, obj string, off, n int, opts ReqOpts) ([]byte, error) {
+func (cl *Client) readReplicatedSplit(pool *Pool, obj string, off, n int, opts ReqOpts, done func([]byte, error)) {
 	c := cl.Cluster
 	acting, err := c.ActingSetUncached(pool, c.PGOf(pool, obj))
 	if err != nil {
-		return nil, err
+		done(nil, err)
+		return
 	}
 	primary := crush.ItemNone
 	for _, o := range acting {
@@ -388,131 +470,90 @@ func (cl *Client) readReplicatedSplit(p *sim.Proc, pool *Pool, obj string, off, 
 		}
 	}
 	if primary == crush.ItemNone {
-		return nil, fmt.Errorf("rados: pg for %q has no placed replicas", obj)
+		done(nil, fmt.Errorf("rados: pg for %q has no placed replicas", obj))
+		return
 	}
-	if cl.PlacementCost > 0 {
-		p.Sleep(cl.PlacementCost)
-	}
-	pNode := c.NodeOf(primary)
-	fab := cl.fabric()
-	done := cl.eng().NewCompletion()
-	sent := cl.eng().Now()
-	fab.Send(cl.Host, pNode, HdrBytes, func() {
-		c.OSDs[primary].traceArrival(opts.Trace, sent)
-		c.OSDs[primary].SubmitOpts(opts, OpRead, obj, off, nil, n, func(r Result) {
-			if r.Err != nil {
-				rerr := r.Err
-				fab.Send(pNode, cl.Host, HdrBytes, func() { done.Complete(nil, rerr) })
-				return
-			}
-			data := r.Data
-			fab.Send(pNode, cl.Host, HdrBytes+n, func() { done.Complete(data, nil) })
+	cl.afterPlacement(func() {
+		pNode := c.NodeOf(primary)
+		fab := cl.fabric()
+		sent := cl.eng().Now()
+		reply := func(data []byte, err error) {
+			cl.eng().Schedule(0, func() { done(data, err) })
+		}
+		fab.Send(cl.Host, pNode, HdrBytes, func() {
+			c.OSDs[primary].traceArrival(opts.Trace, sent)
+			c.OSDs[primary].SubmitOpts(opts, OpRead, obj, off, nil, n, func(r Result) {
+				if r.Err != nil {
+					rerr := r.Err
+					fab.Send(pNode, cl.Host, HdrBytes, func() { reply(nil, rerr) })
+					return
+				}
+				data := r.Data
+				fab.Send(pNode, cl.Host, HdrBytes+n, func() { reply(data, nil) })
+			})
 		})
 	})
-	v, err := p.Await(done)
-	if err != nil {
-		return nil, err
-	}
-	data, _ := v.([]byte)
-	return data, nil
-}
-
-// Read returns n bytes at (obj, off).
-func (cl *Client) Read(p *sim.Proc, pool *Pool, obj string, off, n int) ([]byte, error) {
-	return cl.ReadOpts(p, pool, obj, off, n, ReqOpts{})
-}
-
-// ReadOpts is Read with per-request service hints.
-func (cl *Client) ReadOpts(p *sim.Proc, pool *Pool, obj string, off, n int, opts ReqOpts) ([]byte, error) {
-	if cl.Split {
-		if pool.Kind == ECPool {
-			return nil, fmt.Errorf("rados: erasure pools are not supported on a split-domain client")
-		}
-		return cl.readReplicatedSplit(p, pool, obj, off, n, opts)
-	}
-	repl := cl.Repl != nil && pool == cl.Repl.Pool()
-	if cl.Retry == nil {
-		if repl {
-			return cl.replRead(p, obj, off, n, opts)
-		}
-		if pool.Kind == ECPool {
-			return cl.readEC(p, pool, obj, off, n, opts)
-		}
-		return cl.readReplicated(p, pool, obj, off, n, opts, 0)
-	}
-	v, err := cl.withRetry(p, false, opts.Trace, func(sp *sim.Proc, try int, atr trace.Ref) (any, error) {
-		aopts := opts
-		aopts.Trace = atr
-		if repl {
-			return cl.replRead(sp, obj, off, n, aopts)
-		}
-		if pool.Kind == ECPool {
-			return cl.readEC(sp, pool, obj, off, n, aopts)
-		}
-		return cl.readReplicated(sp, pool, obj, off, n, aopts, try)
-	})
-	if err != nil {
-		return nil, err
-	}
-	data, _ := v.([]byte)
-	return data, nil
 }
 
 // readReplicated reads from one replica. shift rotates the source among the
 // up members of the acting set (retry attempt k reads from the k-th up
 // replica, mod the up count) so failed primaries fail over instead of being
 // re-asked forever; shift 0 is the plain primary read.
-func (cl *Client) readReplicated(p *sim.Proc, pool *Pool, obj string, off, n int, opts ReqOpts, shift int) ([]byte, error) {
+func (cl *Client) readReplicated(pool *Pool, obj string, off, n int, opts ReqOpts, shift int, done func([]byte, error)) {
 	c := cl.Cluster
 	acting, err := c.ActingSet(pool, c.PGOf(pool, obj))
 	if err != nil {
-		return nil, err
+		done(nil, err)
+		return
 	}
 	primary, ok := c.PrimaryFor(acting)
 	if !ok {
-		return nil, fmt.Errorf("rados: pg for %q has no up replicas", obj)
+		done(nil, fmt.Errorf("rados: pg for %q has no up replicas", obj))
+		return
 	}
 	if shift > 0 {
-		up := make([]int, 0, len(acting))
+		up := 0
 		for _, o := range acting {
 			if o != crush.ItemNone && c.OSDs[o].Up() {
-				up = append(up, o)
+				up++
 			}
 		}
-		if o := up[shift%len(up)]; o != primary {
-			primary = o
-			if cl.Retry != nil && cl.Retry.Counters != nil {
-				cl.Retry.Counters.Failovers++
+		pick := shift % up
+		for _, o := range acting {
+			if o == crush.ItemNone || !c.OSDs[o].Up() {
+				continue
 			}
-			// Instant cause marker: this attempt reads a non-primary
-			// replica because earlier attempts failed.
-			cl.TraceSink.Emit(opts.Trace, "replica-failover",
-				cl.eng().Now(), 0, 0, trace.KindFailover, 0)
+			if pick == 0 {
+				if o != primary {
+					primary = o
+					if cl.Retry != nil && cl.Retry.Counters != nil {
+						cl.Retry.Counters.Failovers++
+					}
+					// Instant cause marker: this attempt reads a
+					// non-primary replica because earlier attempts failed.
+					cl.TraceSink.Emit(opts.Trace, "replica-failover",
+						cl.eng().Now(), 0, 0, trace.KindFailover, 0)
+				}
+				break
+			}
+			pick--
 		}
 	}
-	if cl.PlacementCost > 0 {
-		p.Sleep(cl.PlacementCost)
-	}
-	pNode := c.NodeOf(primary)
-	cl.fabric().SendWait(p, cl.Host, pNode, HdrBytes)
-	done := c.Eng.NewCompletion()
-	c.OSDs[primary].SubmitOpts(opts, OpRead, obj, off, nil, n, func(r Result) {
-		done.Complete(r, r.Err)
-	})
-	v, _ := p.Await(done)
-	res := v.(Result)
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	cl.fabric().SendWait(p, pNode, cl.Host, HdrBytes+n)
-	return res.Data, nil
+	op := cl.getOp(pool, false)
+	op.n, op.opts, op.readDone = n, opts, done
+	op.pNode = c.NodeOf(primary)
+	l := op.leg()
+	l.osd, l.node, l.local = primary, op.pNode, true
+	l.kind, l.obj, l.off, l.data, l.n = OpRead, obj, off, nil, n
+	op.advance()
 }
 
-func (cl *Client) writeEC(p *sim.Proc, pool *Pool, obj string, off int, data []byte, opts ReqOpts) error {
+func (cl *Client) writeEC(pool *Pool, obj string, off int, data []byte, opts ReqOpts, done func(error)) {
 	c := cl.Cluster
 	acting, err := c.ActingSet(pool, c.PGOf(pool, obj))
 	if err != nil {
-		return err
+		done(err)
+		return
 	}
 	upCount := 0
 	for _, o := range acting {
@@ -521,168 +562,46 @@ func (cl *Client) writeEC(p *sim.Proc, pool *Pool, obj string, off int, data []b
 		}
 	}
 	if upCount < pool.K {
-		return fmt.Errorf("rados: pg for %q has %d up shards, need >= %d", obj, upCount, pool.K)
+		done(fmt.Errorf("rados: pg for %q has %d up shards, need >= %d", obj, upCount, pool.K))
+		return
 	}
-	primary, _ := c.PrimaryFor(acting)
-	if cl.PlacementCost > 0 {
-		p.Sleep(cl.PlacementCost)
-	}
-	pNode := c.NodeOf(primary)
-	cl.fabric().SendWait(p, cl.Host, pNode, HdrBytes+len(data))
-
-	// Primary encodes, then distributes shards to the acting ranks.
-	p.Sleep(cl.ECEncodeCost(len(data)))
-	shardSize := (len(data) + pool.K - 1) / pool.K
-	var shards [][]byte
-	if cl.Functional {
-		shards = pool.Code.Split(data)
-		if err := pool.Code.Encode(shards); err != nil {
-			return err
-		}
-	}
-	var comps []*sim.Completion
-	for rank, o := range acting {
-		if o == crush.ItemNone || !c.OSDs[o].Up() {
-			continue // degraded write: skip unreachable shard
-		}
-		var payload []byte
-		if cl.Functional {
-			payload = shards[rank]
-		} else {
-			payload = make([]byte, 0) // size carried separately below
-		}
-		key := shardKey(obj, off, rank)
-		comp := c.Eng.NewCompletion()
-		comps = append(comps, comp)
-		o := o
-		writeShard := func() {
-			d := payload
-			if !cl.Functional {
-				d = zeroBytes(shardSize)
-			}
-			oNode := c.NodeOf(o)
-			c.OSDs[o].SubmitOpts(opts, OpWrite, key, 0, d, 0, func(r Result) {
-				if o == primary {
-					comp.Complete(nil, r.Err)
-					return
-				}
-				cl.fabric().Send(oNode, pNode, HdrBytes, func() {
-					comp.Complete(nil, r.Err)
-				})
-			})
-		}
-		if o == primary {
-			writeShard()
-		} else {
-			cl.fabric().Send(pNode, c.NodeOf(o), HdrBytes+shardSize, writeShard)
-		}
-	}
-	var firstErr error
-	for _, comp := range comps {
-		if _, err := p.Await(comp); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	cl.fabric().SendWait(p, pNode, cl.Host, HdrBytes)
-	return firstErr
+	op := cl.getOp(pool, true)
+	op.obj, op.off, op.data, op.opts, op.writeDone = obj, off, data, opts, done
+	op.acting = acting
+	op.primary, _ = c.PrimaryFor(acting)
+	op.pNode = c.NodeOf(op.primary)
+	op.advance()
 }
 
-func (cl *Client) readEC(p *sim.Proc, pool *Pool, obj string, off, n int, opts ReqOpts) ([]byte, error) {
+func (cl *Client) readEC(pool *Pool, obj string, off, n int, opts ReqOpts, done func([]byte, error)) {
 	c := cl.Cluster
 	acting, err := c.ActingSet(pool, c.PGOf(pool, obj))
 	if err != nil {
-		return nil, err
+		done(nil, err)
+		return
 	}
 	primary, ok := c.PrimaryFor(acting)
 	if !ok {
-		return nil, fmt.Errorf("rados: pg for %q has no up shards", obj)
+		done(nil, fmt.Errorf("rados: pg for %q has no up shards", obj))
+		return
 	}
-	if cl.PlacementCost > 0 {
-		p.Sleep(cl.PlacementCost)
-	}
-	pNode := c.NodeOf(primary)
-	cl.fabric().SendWait(p, cl.Host, pNode, HdrBytes)
-
-	// Choose k source ranks, preferring the data shards so no decode is
-	// needed on the healthy path.
-	shardSize := (n + pool.K - 1) / pool.K
-	type src struct{ rank, osd int }
-	var srcs []src
-	for rank := 0; rank < pool.K && len(srcs) < pool.K; rank++ {
-		if o := acting[rank]; o != crush.ItemNone && c.OSDs[o].Up() {
-			srcs = append(srcs, src{rank, o})
-		}
-	}
-	needDecode := len(srcs) < pool.K
-	for rank := pool.K; rank < pool.K+pool.M && len(srcs) < pool.K; rank++ {
-		if o := acting[rank]; o != crush.ItemNone && c.OSDs[o].Up() {
-			srcs = append(srcs, src{rank, o})
-		}
-	}
-	if len(srcs) < pool.K {
-		return nil, fmt.Errorf("rados: pg for %q has too few up shards", obj)
-	}
-
-	// Gather the k shards in parallel.
-	gathered := make([][]byte, pool.K+pool.M)
-	var comps []*sim.Completion
-	for _, s := range srcs {
-		s := s
-		key := shardKey(obj, off, s.rank)
-		comp := c.Eng.NewCompletion()
-		comps = append(comps, comp)
-		readShard := func() {
-			oNode := c.NodeOf(s.osd)
-			c.OSDs[s.osd].SubmitOpts(opts, OpRead, key, 0, nil, shardSize, func(r Result) {
-				gathered[s.rank] = r.Data
-				if s.osd == primary {
-					comp.Complete(nil, r.Err)
-					return
-				}
-				cl.fabric().Send(oNode, pNode, HdrBytes+shardSize, func() {
-					comp.Complete(nil, r.Err)
-				})
-			})
-		}
-		if s.osd == primary {
-			readShard()
-		} else {
-			cl.fabric().Send(pNode, c.NodeOf(s.osd), HdrBytes, readShard)
-		}
-	}
-	for _, comp := range comps {
-		if _, err := p.Await(comp); err != nil {
-			return nil, err
-		}
-	}
-
-	var out []byte
-	if needDecode {
-		if cl.Retry != nil && cl.Retry.Counters != nil {
-			cl.Retry.Counters.DegradedReads++
-		}
-		h := cl.TraceSink.Begin(opts.Trace, "ec-decode")
-		h.Link(trace.KindDegraded, 0)
-		p.Sleep(cl.ECDecodeCost(n))
-		h.End()
-	}
-	if cl.Functional {
-		if needDecode {
-			// Degraded read: rebuild only the missing data shards — Join
-			// never touches parity, so recomputing it would be wasted work.
-			if err := pool.Code.ReconstructData(gathered); err != nil {
-				return nil, err
-			}
-		}
-		out, err = pool.Code.Join(gathered, n)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		out = zeroBytes(n)
-	}
-	cl.fabric().SendWait(p, pNode, cl.Host, HdrBytes+n)
-	return out, nil
+	op := cl.getOp(pool, false)
+	op.obj, op.off, op.n, op.opts, op.readDone = obj, off, n, opts, done
+	op.acting, op.primary, op.pNode = acting, primary, c.NodeOf(primary)
+	op.advance()
 }
 
-func zeroBytes(n int) []byte { return make([]byte, n) }
+// zeroSlab backs Zeros. It is never written or reassigned, so engines on
+// parallel runner workers share it without a race.
+var zeroSlab = make([]byte, 1<<20)
+
+// Zeros returns n zero bytes for timing-only payloads and results. Up to
+// 1 MiB the result is a read-only view of one shared slab (its capacity is
+// clipped, so an append copies); larger requests allocate. Stores may
+// receive it as a Write payload because Write data is read-only.
+func Zeros(n int) []byte {
+	if n <= len(zeroSlab) {
+		return zeroSlab[:n:n]
+	}
+	return make([]byte, n)
+}

@@ -99,7 +99,8 @@ type OSD struct {
 	slowTenantF float64
 	// pending tracks accepted-but-uncompleted requests so a crash can fail
 	// them immediately (see SetUp / Drain).
-	pending []*pendingOp
+	pending []*osdOp
+	free    []*osdOp // recycled request records
 
 	// Latency of service (queueing + service, excluding network).
 	ServiceHist *metrics.Histogram
@@ -123,14 +124,42 @@ func (o *OSD) traceArrival(tr trace.Ref, sent sim.Time) {
 	o.traceSink.Emit(tr, "transport", sent, o.eng.Now().Sub(sent), 0, "", 0)
 }
 
-// pendingOp is one accepted request awaiting service. idx is its position
-// in the OSD's pending slice (swap-removal keeps completion O(1)); aborted
-// is set when a crash already failed the request, telling the service proc
-// not to complete it a second time.
-type pendingOp struct {
+// osdOp is one accepted request, from submission to completion. idx is its
+// position in the OSD's pending slice (swap-removal keeps completion O(1));
+// aborted is set when a crash already failed the request, telling finish
+// not to complete it a second time. Ops are pooled on the OSD and their
+// three continuations (begin, serve, finish) are bound once at
+// construction, so a warm submit allocates nothing.
+type osdOp struct {
+	o       *OSD
+	opts    ReqOpts
+	kind    OpType
+	obj     string
+	off, n  int
+	data    []byte
 	done    func(Result)
+	start   sim.Time
+	wait    sim.Duration
 	idx     int
 	aborted bool
+
+	begin  func() // queue for a lane
+	serve  func() // lane held: draw the service time
+	finish func() // service over: release the lane, complete
+}
+
+func (o *OSD) getOp() *osdOp {
+	if n := len(o.free); n > 0 {
+		op := o.free[n-1]
+		o.free[n-1] = nil
+		o.free = o.free[:n-1]
+		return op
+	}
+	op := &osdOp{o: o}
+	op.begin = func() { op.o.lanes.AcquireFunc(1, op.serve) }
+	op.serve = op.serveLane
+	op.finish = op.complete
+	return op
 }
 
 // NewOSD constructs an OSD with the given profile and store.
@@ -321,58 +350,70 @@ func (o *OSD) SubmitOpts(opts ReqOpts, op OpType, obj string, off int, data []by
 	if o.silent {
 		return
 	}
-	pd := &pendingOp{done: done, idx: len(o.pending)}
-	o.pending = append(o.pending, pd)
-	start := o.eng.Now()
-	o.eng.Spawn(fmt.Sprintf("osd%d-%v", o.ID, op), func(p *sim.Proc) {
-		size := n
-		if op == OpWrite {
-			size = len(data)
-		}
-		o.lanes.Acquire(p, 1)
-		wait := o.eng.Now().Sub(start)
-		st := o.serviceTime(op, size, opts.Random)
-		if o.slowTenantF > 1 && opts.Tenant == o.slowTenant {
-			st = sim.Duration(float64(st) * o.slowTenantF)
-		}
-		p.Sleep(st)
-		o.lanes.Release(1)
-		// A crash mid-queue already failed the request; do not complete it
-		// twice (the lane time above is the zombie occupying the drive).
-		if pd.aborted {
-			return
-		}
-		o.unregister(pd)
-		var res Result
-		switch op {
-		case OpWrite:
-			res.Err = o.Store.Write(obj, off, data)
-		case OpRead:
-			res.Data, res.Err = o.Store.Read(obj, off, n)
-		}
-		o.served++
-		o.ServiceHist.Record(o.eng.Now().Sub(start))
-		// One uniform span name so critical-path aggregation pools all
-		// replicas into a single "osd-service" attribution bucket.
-		o.traceSink.Emit(opts.Trace, "osd-service",
-			start, o.eng.Now().Sub(start), wait, "", 0)
-		done(res)
-	})
+	r := o.getOp()
+	r.opts, r.kind, r.obj, r.off, r.data, r.n, r.done = opts, op, obj, off, data, n, done
+	r.start, r.idx, r.aborted = o.eng.Now(), len(o.pending), false
+	o.pending = append(o.pending, r)
+	o.eng.Schedule(0, r.begin)
+}
+
+// serveLane runs once the request holds a lane: it draws the service time
+// and holds the lane for it.
+func (op *osdOp) serveLane() {
+	o := op.o
+	op.wait = o.eng.Now().Sub(op.start)
+	size := op.n
+	if op.kind == OpWrite {
+		size = len(op.data)
+	}
+	st := o.serviceTime(op.kind, size, op.opts.Random)
+	if o.slowTenantF > 1 && op.opts.Tenant == o.slowTenant {
+		st = sim.Duration(float64(st) * o.slowTenantF)
+	}
+	o.eng.Schedule(st, op.finish)
+}
+
+// complete ends service: it frees the lane, applies the request to the
+// store and recycles the record before invoking done (which may submit
+// again and reuse it).
+func (op *osdOp) complete() {
+	o := op.o
+	o.lanes.Release(1)
+	// A crash mid-queue already failed the request; do not complete it
+	// twice (the lane time above is the zombie occupying the drive).
+	if op.aborted {
+		op.recycle()
+		return
+	}
+	o.unregister(op)
+	var res Result
+	switch op.kind {
+	case OpWrite:
+		res.Err = o.Store.Write(op.obj, op.off, op.data)
+	case OpRead:
+		res.Data, res.Err = o.Store.Read(op.obj, op.off, op.n)
+	}
+	o.served++
+	o.ServiceHist.Record(o.eng.Now().Sub(op.start))
+	// One uniform span name so critical-path aggregation pools all
+	// replicas into a single "osd-service" attribution bucket.
+	o.traceSink.Emit(op.opts.Trace, "osd-service",
+		op.start, o.eng.Now().Sub(op.start), op.wait, "", 0)
+	done := op.done
+	op.recycle()
+	done(res)
+}
+
+func (op *osdOp) recycle() {
+	op.obj, op.data, op.done, op.opts = "", nil, nil, ReqOpts{}
+	op.o.free = append(op.o.free, op)
 }
 
 // unregister swap-removes a completed request from the pending set.
-func (o *OSD) unregister(pd *pendingOp) {
+func (o *OSD) unregister(pd *osdOp) {
 	last := len(o.pending) - 1
 	o.pending[pd.idx] = o.pending[last]
 	o.pending[pd.idx].idx = pd.idx
 	o.pending[last] = nil
 	o.pending = o.pending[:last]
-}
-
-// SubmitWait is the Proc-blocking form of Submit.
-func (o *OSD) SubmitWait(p *sim.Proc, op OpType, obj string, off int, data []byte, n int) Result {
-	c := o.eng.NewCompletion()
-	o.Submit(op, obj, off, data, n, func(r Result) { c.Complete(r, r.Err) })
-	v, _ := p.Await(c)
-	return v.(Result)
 }

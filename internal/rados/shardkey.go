@@ -8,7 +8,8 @@ import "strconv"
 // the fmt.Sprintf calls that used to sit on the shard fan-out paths: the
 // Append variants write into a caller-provided buffer and allocate nothing
 // when it has capacity, and the string variants cost exactly one string
-// allocation.
+// allocation (they build in a fixed stack buffer, which a heap-sized make
+// would not be; keys longer than it cost one more).
 
 // AppendShardKey appends "<obj>:<off>.s<rank>" to buf and returns the
 // extended slice.
@@ -34,11 +35,13 @@ func appendRank(buf []byte, rank int) []byte {
 // ShardKey returns the shard object name for rank of the EC stripe written
 // at (obj, off).
 func ShardKey(obj string, off, rank int) string {
-	return string(AppendShardKey(make([]byte, 0, len(obj)+20), obj, off, rank))
+	var buf [96]byte
+	return string(AppendShardKey(buf[:0], obj, off, rank))
 }
 
 // StripeShard returns the shard object name for rank of an existing stripe
 // key.
 func StripeShard(stripe string, rank int) string {
-	return string(AppendStripeShard(make([]byte, 0, len(stripe)+8), stripe, rank))
+	var buf [96]byte
+	return string(AppendStripeShard(buf[:0], stripe, rank))
 }

@@ -21,8 +21,8 @@ import (
 // Payload contract: implementations must treat the data slice passed to
 // Write as READ-ONLY and must not retain it after Write returns — copy the
 // bytes if they are kept (MemStore does), or ignore them (NullStore).
-// Callers rely on this: the core fan-out paths pass overlapping views of
-// one shared zero buffer, and the client EC path hands the same shard
+// Callers rely on this: timing-only writes pass overlapping views of one
+// shared zero buffer (Zeros), and the client EC path hands the same shard
 // slices to the codec and the store. A store that mutated or aliased a
 // payload would corrupt unrelated in-flight writes. TestStorePayloadContract
 // enforces both halves for the built-in stores.

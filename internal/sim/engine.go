@@ -8,7 +8,11 @@
 // A single Engine is single-threaded by design: all model callbacks run on
 // the goroutine that called Run, so model code needs no locking. Concurrency
 // in the modelled system (multiple CPU cores, queues, devices) is expressed
-// as interleaved events and coroutine-style Procs, not OS parallelism.
+// as interleaved events, not OS parallelism. Per-op work is written as
+// continuations: callbacks chained through Schedule, Resource.AcquireFunc
+// and completion callbacks, with per-op state in pooled records. Long-lived
+// actors (ring reapers, load generators, background flushers, monitors) are
+// coroutine-style Procs, each on its own goroutine; see Proc.
 //
 // For city-scale topologies an Engine can instead be one shard of a Shards
 // group (see shard.go): each shard runs its own event loop on its own
@@ -195,7 +199,7 @@ type Engine struct {
 	freeCap  int      // retention bound for free
 	running  bool
 	stopped  bool
-	procs    int    // live coroutine processes
+	spawned  uint64 // coroutine processes ever spawned
 	executed uint64 // events dispatched (stats)
 
 	// group/shard link this engine to a Shards front end; nil for a plain
@@ -217,6 +221,11 @@ func (e *Engine) Pending() int { return len(e.pq) }
 
 // Executed reports the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// Spawned reports the number of Procs spawned so far. Per-op paths run as
+// continuations, so in steady state it grows only when a long-lived actor
+// starts.
+func (e *Engine) Spawned() uint64 { return e.spawned }
 
 // Reserve pre-sizes the event heap and freelist for roughly n concurrently
 // scheduled events — a topology hint, so large-cluster runs do not grow the

@@ -4,6 +4,13 @@ package sim
 // sequential Go code and advances virtual time with Sleep and Await; under
 // the hood the engine runs exactly one of {event loop, some Proc} at any
 // instant, so Procs need no locking and the interleaving is deterministic.
+//
+// Each Proc owns a goroutine and switches with the engine through two
+// channels, so it is reserved for long-lived actors: ring reapers, fio
+// workers, the LSVD flusher, the monitor and backfill. Per-op paths are
+// continuations (Schedule, Resource.AcquireFunc, completion callbacks);
+// a Proc that calls one blocks on it with Block, which resumes the Proc
+// inside the event that completes the op.
 type Proc struct {
 	eng    *Engine
 	name   string
@@ -22,7 +29,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
 	}
-	e.procs++
+	e.spawned++
 	go func() {
 		<-p.resume
 		fn(p)
@@ -41,9 +48,6 @@ func (e *Engine) step(p *Proc) {
 	}
 	p.resume <- struct{}{}
 	<-p.yield
-	if p.done {
-		e.procs--
-	}
 }
 
 // pause yields control back to the engine and blocks until resumed.
@@ -74,15 +78,20 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // Block suspends the process until the wake callback handed to register is
 // invoked. register runs immediately in the caller's context; the wake
-// callback must be invoked from engine context (inside an event), exactly
-// once. Block is the primitive custom wait-queues (rings, tag sets) build
-// on.
+// callback must be invoked exactly once, either from engine context (inside
+// an event), which resumes the process within that event, or synchronously
+// inside register, in which case Block returns without suspending. Block is
+// the primitive custom wait-queues (rings, tag sets) build on, and the way a
+// Proc calls a continuation-style operation.
 func (p *Proc) Block(register func(wake func())) {
-	woke := false
+	woke, registering := false, true
 	register(func() {
 		woke = true
-		p.eng.step(p)
+		if !registering {
+			p.eng.step(p)
+		}
 	})
+	registering = false
 	for !woke {
 		p.pause()
 	}

@@ -116,7 +116,10 @@ type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []resWaiter
+	// waiters[head:] is the FIFO wait queue. It is reset once it drains and
+	// compacted before it grows, so a steady queue reuses one backing array.
+	waiters []resWaiter
+	head    int
 }
 
 type resWaiter struct {
@@ -144,7 +147,7 @@ func (r *Resource) TryAcquire(n int) bool {
 		panic("sim: bad acquire count")
 	}
 	// FIFO fairness: do not jump the wait queue.
-	if len(r.waiters) > 0 || r.inUse+n > r.capacity {
+	if r.head < len(r.waiters) || r.inUse+n > r.capacity {
 		return false
 	}
 	r.inUse += n
@@ -157,7 +160,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		return
 	}
 	acquired := false
-	r.waiters = append(r.waiters, resWaiter{n: n, wake: func() {
+	r.enqueue(resWaiter{n: n, wake: func() {
 		acquired = true
 		r.eng.step(p)
 	}})
@@ -166,20 +169,45 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	}
 }
 
+// AcquireFunc takes n units and runs fn holding them. If the units are free
+// and nobody is queued, fn runs inline; otherwise fn joins the same FIFO
+// wait queue Acquire uses and runs as its own event once Release frees
+// enough units. It is Acquire for continuation-style callers.
+func (r *Resource) AcquireFunc(n int, fn func()) {
+	if r.TryAcquire(n) {
+		fn()
+		return
+	}
+	r.enqueue(resWaiter{n: n, wake: fn})
+}
+
+func (r *Resource) enqueue(w resWaiter) {
+	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
+		live := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[live:])
+		r.waiters, r.head = r.waiters[:live], 0
+	}
+	r.waiters = append(r.waiters, w)
+}
+
 // Release returns n units and wakes FIFO waiters that now fit.
 func (r *Resource) Release(n int) {
 	if n <= 0 || n > r.inUse {
 		panic("sim: bad release count")
 	}
 	r.inUse -= n
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.head < len(r.waiters) {
+		w := r.waiters[r.head]
 		if r.inUse+w.n > r.capacity {
 			break
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters[r.head] = resWaiter{}
+		r.head++
 		r.inUse += w.n
 		r.eng.Schedule(0, w.wake)
+	}
+	if r.head == len(r.waiters) {
+		r.waiters, r.head = r.waiters[:0], 0
 	}
 }
 
