@@ -49,13 +49,15 @@ go test -race -count=1 -run 'TestScale' ./internal/rados/ ./internal/experiments
 # One concurrency model: the OSD service, the software RADOS client and
 # the DK-SW ring target are continuations, not per-op procs. Pin that no
 # benchmarked stack spawns a Proc per op, that a warm OSD submit+service
-# allocates nothing, that shard keys cost one allocation, that the client's
-# proc wrappers survive a synchronous failure and an early-stopped EC read,
-# and that a Resource stays FIFO across proc and callback waiters — under
-# the race detector.
-echo "== continuation paths (race: no per-op procs + alloc pins + mixed FIFO) =="
-go test -race -count=1 -run 'TestNoPerOpProcs' ./internal/core/
-go test -race -count=1 -run 'TestOSDSubmitAllocBound|TestShardKeyOneAlloc|TestClientSynchronousFailure|TestECReadStopsAtFailedShard' \
+# allocates nothing, that the fan-out issue paths and the client's warm
+# replicated round trips allocate nothing beyond EC shard keys, that shard
+# keys cost one allocation, that the client's proc wrappers survive a
+# synchronous failure and an early-stopped EC read, that the shared retry
+# driver keeps its contract, and that a Resource stays FIFO across proc and
+# callback waiters — under the race detector.
+echo "== continuation paths (race: no per-op procs + alloc pins + retry driver + mixed FIFO) =="
+go test -race -count=1 -run 'TestNoPerOpProcs|TestFanoutIssueZeroAlloc|TestFanoutECIssueAllocBound' ./internal/core/
+go test -race -count=1 -run 'TestOSDSubmitAllocBound|TestShardKeyOneAlloc|TestClientSynchronousFailure|TestECReadStopsAtFailedShard|TestClientReplicatedAllocPin|TestRetryDriver' \
     ./internal/rados/
 go test -race -count=1 -run 'TestResourceFIFOMixedWaiters|TestAcquireFuncRespectsQueue|TestBlockSynchronousWake|TestResourceBacklogBounded' \
     ./internal/sim/

@@ -41,7 +41,7 @@ type cardBackend struct {
 }
 
 // join invokes done(first error) after n sub-operations complete.
-func join(eng *sim.Engine, n int, done func(error)) func(error) {
+func join(n int, done func(error)) func(error) {
 	remaining := n
 	var firstErr error
 	return func(err error) {
@@ -89,7 +89,7 @@ func (cb *cardBackend) process(op OpType, pattern Pattern, off int64, n, tenant 
 		cb.eng.Schedule(0, func() { done(err) })
 		return
 	}
-	sub := join(cb.eng, len(exts), done)
+	sub := join(len(exts), done)
 	for _, e := range exts {
 		cb.processExtent(op, pattern, e, tenant, tr, sub)
 	}
@@ -134,17 +134,17 @@ func (cb *cardBackend) processExtent(op OpType, pattern Pattern, e rbd.Extent, t
 					}
 					cb.after(cb.hlsExtra(rs.Spec, 1), func() {
 						fopts, fdone := cb.fanout(opts, done)
-						cb.fan.WriteECR(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
+						cb.fan.WriteEC(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
 					})
 				})
 			case op == Write:
 				fopts, fdone := cb.fanout(opts, done)
-				cb.fan.WriteReplicatedR(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
+				cb.fan.WriteReplicated(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
 			case cb.pool.Kind == rados.ECPool:
 				hf, ftr := cb.trace.Open(tr, StageFanout)
 				fopts := opts
 				fopts.Trace = ftr
-				cb.fan.ReadECR(cb.pool, e.Object, e.Off, e.Len, fopts, func(needDecode bool, err error) {
+				cb.fan.ReadEC(cb.pool, e.Object, e.Off, e.Len, fopts, func(needDecode bool, err error) {
 					hf.End()
 					if err != nil || !needDecode {
 						done(err)
@@ -160,7 +160,7 @@ func (cb *cardBackend) processExtent(op OpType, pattern Pattern, e rbd.Extent, t
 				})
 			default:
 				fopts, fdone := cb.fanout(opts, done)
-				cb.fan.ReadReplicatedR(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
+				cb.fan.ReadReplicated(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
 			}
 		})
 	})

@@ -65,9 +65,10 @@ func TestFanoutIssueZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFanoutECIssueAllocBound bounds the EC write path: the only permitted
+// TestFanoutECIssueAllocBound bounds the EC issue paths: the only permitted
 // steady-state allocation is the per-shard key string handed to the store
-// (one alloc per shard; 6 shards in the default 4+2 geometry).
+// (one alloc per shard: 6 for a write and k = 4 for a read in the default
+// 4+2 geometry).
 func TestFanoutECIssueAllocBound(t *testing.T) {
 	tb, f := newFanoutHarness(t)
 	pool := tb.ECPool
@@ -78,13 +79,20 @@ func TestFanoutECIssueAllocBound(t *testing.T) {
 		}
 		completed++
 	}
+	readDone := func(needDecode bool, err error) {
+		if needDecode {
+			t.Error("healthy EC read needed a decode")
+		}
+		done(err)
+	}
 	const warm = 200
 	for i := 0; i < warm; i++ {
 		f.WriteEC(pool, "obj", 0, 64<<10, rados.ReqOpts{}, done)
+		f.ReadEC(pool, "obj", 0, 64<<10, rados.ReqOpts{}, readDone)
 	}
 	tb.Eng.Run()
-	if completed != warm {
-		t.Fatalf("warmup completed %d ops, want %d", completed, warm)
+	if completed != 2*warm {
+		t.Fatalf("warmup completed %d ops, want %d", completed, 2*warm)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		f.WriteEC(pool, "obj", 0, 64<<10, rados.ReqOpts{}, done)
@@ -92,6 +100,13 @@ func TestFanoutECIssueAllocBound(t *testing.T) {
 	tb.Eng.Run()
 	if max := float64(pool.K + pool.M); allocs > max {
 		t.Errorf("WriteEC issue path allocated %.1f/op, want <= %.0f (key strings)", allocs, max)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		f.ReadEC(pool, "obj", 0, 64<<10, rados.ReqOpts{}, readDone)
+	})
+	tb.Eng.Run()
+	if max := float64(pool.K); allocs > max {
+		t.Errorf("ReadEC issue path allocated %.1f/op, want <= %.0f (key strings)", allocs, max)
 	}
 }
 

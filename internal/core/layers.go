@@ -288,11 +288,11 @@ func (dp *d1Path) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, ten
 		var ferr error
 		if op == Write {
 			ferr = blocking(p, func(cb func(error)) {
-				dp.fan.WriteReplicatedR(dp.pool, e.Object, e.Off, e.Len, eopts, cb)
+				dp.fan.WriteReplicated(dp.pool, e.Object, e.Off, e.Len, eopts, cb)
 			})
 		} else {
 			ferr = blocking(p, func(cb func(error)) {
-				dp.fan.ReadReplicatedR(dp.pool, e.Object, e.Off, e.Len, eopts, cb)
+				dp.fan.ReadReplicated(dp.pool, e.Object, e.Off, e.Len, eopts, cb)
 			})
 		}
 		hf.End()
@@ -551,17 +551,18 @@ func (tb *Testbed) BuildStack(spec StackSpec) (Stack, error) {
 	if spec.Replication == ReplRaft {
 		// Route the replicated pool through the per-PG Raft backend: the
 		// fan-out engine and the software client both dispatch to a router
-		// bound to the stack's own client endpoint.
+		// bound to the stack's own client endpoint, through one Repl field.
 		sys := tb.raftSystem()
-		if fan := s.fanout.Fan(); fan != nil {
-			r := raft.NewRouter(sys, fan.From)
+		router := func(from *netsim.Host) rados.Repl {
+			r := raft.NewRouter(sys, from)
 			r.Sink = tb.traceHost
-			fan.Raft = r
+			return r
+		}
+		if fan := s.fanout.Fan(); fan != nil {
+			fan.Repl = router(fan.From)
 		}
 		if cl := s.fanout.Client(); cl != nil {
-			r := raft.NewRouter(sys, cl.Host)
-			r.Sink = tb.traceHost
-			cl.Repl = r
+			cl.Repl = router(cl.Host)
 		}
 	}
 	return s, nil
@@ -591,7 +592,7 @@ func (tb *Testbed) buildCardSide(s *pipelineStack) (*cardBackend, error) {
 		return nil, err
 	}
 	s.placement = &cardPlacement{kind: s.spec.Placement, shell: shell, scale: tb.CM.HLSLatencyScale, trace: tb.traceHost}
-	fan := &Fanout{Cluster: tb.Cluster, From: cardHost, Res: tb.Res, Trace: tb.traceHost}
+	fan := &Fanout{Cluster: tb.Cluster, From: cardHost, Retry: tb.Res.retryPolicy(), Trace: tb.traceHost}
 	s.fanout = &cardFanout{kind: s.spec.Fanout, fan: fan}
 	procCost := tb.CM.CardProcessing
 	if s.spec.Fanout == FanoutCardHLS {
@@ -789,7 +790,7 @@ func (tb *Testbed) buildNBDOffload(s *pipelineStack) error {
 		return err
 	}
 	s.placement = &cardPlacement{kind: s.spec.Placement, shell: shell, scale: tb.CM.HLSLatencyScale, trace: tb.traceHost}
-	fan := &Fanout{Cluster: tb.Cluster, From: hostNIC, Res: tb.Res, Trace: tb.traceHost}
+	fan := &Fanout{Cluster: tb.Cluster, From: hostNIC, Retry: tb.Res.retryPolicy(), Trace: tb.traceHost}
 	s.fanout = &hostFanout{fan: fan}
 	s.block = noBlock{}
 	s.transport = legacyDMA{}

@@ -27,7 +27,7 @@ func newResilientHarness(t testing.TB) (*Testbed, *Fanout) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tbd, &Fanout{Cluster: tbd.Cluster, From: host, Res: tbd.Res}
+	return tbd, &Fanout{Cluster: tbd.Cluster, From: host, Retry: tbd.Res.retryPolicy()}
 }
 
 // crossNodeObject scans for an object whose replicated acting set spans both
@@ -64,7 +64,7 @@ func TestReadFailoverAfterDeadline(t *testing.T) {
 	var doneAt sim.Time
 	completed := false
 	tbd.Eng.Schedule(0, func() {
-		f.ReadReplicatedR(tbd.ReplPool, obj, 0, 4096, rados.ReqOpts{}, func(err error) {
+		f.ReadReplicated(tbd.ReplPool, obj, 0, 4096, rados.ReqOpts{}, func(err error) {
 			gotErr, doneAt, completed = err, tbd.Eng.Now(), true
 		})
 	})
@@ -95,7 +95,7 @@ func TestWriteRetriesAfterCrash(t *testing.T) {
 	var gotErr error
 	completed := false
 	tbd.Eng.Schedule(0, func() {
-		f.WriteReplicatedR(tbd.ReplPool, obj, 0, 4096, rados.ReqOpts{}, func(err error) {
+		f.WriteReplicated(tbd.ReplPool, obj, 0, 4096, rados.ReqOpts{}, func(err error) {
 			gotErr, completed = err, true
 		})
 	})
@@ -128,7 +128,7 @@ func TestDeadlineExhaustsRetries(t *testing.T) {
 	var gotErr error
 	completed := false
 	tbd.Eng.Schedule(0, func() {
-		f.ReadReplicatedR(tbd.ReplPool, "obj", 0, 4096, rados.ReqOpts{}, func(err error) {
+		f.ReadReplicated(tbd.ReplPool, "obj", 0, 4096, rados.ReqOpts{}, func(err error) {
 			gotErr, completed = err, true
 		})
 	})
@@ -165,7 +165,7 @@ func TestECDegradedReadCounts(t *testing.T) {
 	needDecode := false
 	completed := false
 	tbd.Eng.Schedule(0, func() {
-		f.ReadECR(tbd.ECPool, obj, 0, 64<<10, rados.ReqOpts{}, func(nd bool, err error) {
+		f.ReadEC(tbd.ECPool, obj, 0, 64<<10, rados.ReqOpts{}, func(nd bool, err error) {
 			needDecode, gotErr, completed = nd, err, true
 		})
 	})
@@ -207,7 +207,7 @@ func newSWClientHarness(t *testing.T) (*Testbed, *rados.Client) {
 
 // TestClientWriteRetriesAfterCrash exercises the proc-blocking software
 // client: the primary crashes mid-service, the aborted attempt surfaces
-// ErrOSDDown inside withRetry, and the re-issue lands on the new primary.
+// ErrOSDDown to the retry driver, and the re-issue lands on the new primary.
 func TestClientWriteRetriesAfterCrash(t *testing.T) {
 	tbd, cl := newSWClientHarness(t)
 	obj, acting := crossNodeObject(t, tbd)

@@ -178,9 +178,6 @@ func (tb *Testbed) attachTracer(t *trace.Tracer) {
 			o.SetTraceSink(tb.traceHost)
 		}
 	}
-	if tb.Res != nil {
-		tb.Res.trace = tb.traceHost
-	}
 }
 
 // NewTestbed builds the cluster side.
@@ -291,7 +288,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		osdEngs:   osdEngs,
 	}
 	if cfg.Resilience.Enabled {
-		tb.Res = newResilience(eng, cfg.Resilience)
+		tb.Res = newResilience(cfg.Resilience)
 	}
 	return tb, nil
 }

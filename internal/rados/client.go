@@ -1,37 +1,13 @@
 package rados
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/crush"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// ErrDeadline marks an attempt abandoned at its per-attempt deadline. The
-// operation may still complete on the cluster (the attempt keeps running
-// unobserved), which is why only idempotent ops are retried this way.
-var ErrDeadline = errors.New("deadline exceeded")
-
-// RetryPolicy configures client-side resilience: per-attempt deadlines,
-// bounded retries with caller-supplied backoff, and read failover to
-// replica OSDs. A nil policy on the Client is the zero-cost healthy path —
-// every request is issued exactly once, as before.
-type RetryPolicy struct {
-	// Deadline bounds each attempt; 0 disables (attempts wait forever).
-	Deadline sim.Duration
-	// MaxRetries is the number of re-issues after the first attempt.
-	MaxRetries int
-	// Backoff returns the delay before retry attempt (0-based); nil retries
-	// immediately. Callers bind a seeded jitter source here (faults.Backoff)
-	// so retry timing replays deterministically.
-	Backoff func(attempt int) sim.Duration
-	// Counters, when non-nil, receives resilience accounting.
-	Counters *metrics.Resilience
-}
 
 // Repl is a pluggable replication protocol for one replicated pool (the
 // per-PG Raft backend in internal/raft implements it). The client routes
@@ -91,7 +67,8 @@ type Client struct {
 	// cluster's engine (the single-domain default).
 	Eng *sim.Engine
 
-	free []*clientOp // recycled data-path op records
+	free  []*clientOp // recycled data-path op records
+	ranks []int       // scratch: target ranks of the request being issued
 }
 
 // NewClient attaches a client host to the cluster's fabric.
@@ -174,11 +151,11 @@ func (cl *Client) WriteAsync(pool *Pool, obj string, off int, data []byte, opts 
 		cl.writeAttempt(pool, obj, off, data, opts, done)
 		return
 	}
-	cl.withRetry(true, opts.Trace, func(_ int, atr trace.Ref, adone func([]byte, error)) {
+	cl.Retry.Run(cl.eng(), cl.TraceSink, "rados-attempt", true, opts.Trace, cl.hopped(func(_ int, atr trace.Ref, adone func([]byte, error)) {
 		aopts := opts
 		aopts.Trace = atr
 		cl.writeAttempt(pool, obj, off, data, aopts, func(err error) { adone(nil, err) })
-	}, func(_ []byte, err error) { done(err) })
+	}), func(_ []byte, err error) { done(err) })
 }
 
 // writeAttempt issues one write through the pool's protocol.
@@ -210,15 +187,29 @@ func (cl *Client) ReadAsync(pool *Pool, obj string, off, n int, opts ReqOpts, do
 		cl.readAttempt(pool, obj, off, n, opts, 0, done)
 		return
 	}
-	cl.withRetry(false, opts.Trace, func(try int, atr trace.Ref, adone func([]byte, error)) {
+	cl.Retry.Run(cl.eng(), cl.TraceSink, "rados-attempt", false, opts.Trace, cl.hopped(func(try int, atr trace.Ref, adone func([]byte, error)) {
 		aopts := opts
 		aopts.Trace = atr
 		cl.readAttempt(pool, obj, off, n, aopts, try, adone)
-	}, done)
+	}), done)
 }
 
-// readAttempt issues one read through the pool's protocol; shift is the
-// replica rotation of readReplicated.
+// hopped starts a retry attempt one event after the driver issues it and
+// hands its result back one event after it completes: the completion hops
+// of the proc-based client, kept so event order is unchanged.
+func (cl *Client) hopped(attempt func(try int, atr trace.Ref, done func([]byte, error))) func(int, trace.Ref, func([]byte, error)) {
+	eng := cl.eng()
+	return func(try int, atr trace.Ref, done func([]byte, error)) {
+		eng.Schedule(0, func() {
+			attempt(try, atr, func(data []byte, err error) {
+				eng.Schedule(0, func() { done(data, err) })
+			})
+		})
+	}
+}
+
+// readAttempt issues one read through the pool's protocol; shift picks the
+// replica (see Cluster.ReadTarget).
 func (cl *Client) readAttempt(pool *Pool, obj string, off, n int, opts ReqOpts, shift int, done func([]byte, error)) {
 	switch {
 	case cl.Repl != nil && pool == cl.Repl.Pool():
@@ -282,85 +273,6 @@ func (cl *Client) replRead(obj string, off, n int, opts ReqOpts, done func([]byt
 	})
 }
 
-// withRetry drives attempt through the retry policy. A deadline abandons an
-// attempt without stopping it: the attempt runs on to completion (the
-// cluster may still apply the op), but nobody observes its result — the
-// same semantics as a timed-out RPC. Each attempt starts one event after it
-// is issued, and its result reaches the retry loop one event after it
-// completes. Write outcomes feed the counters' unavailability-window
-// tracking: a write that exhausts its budget opens a stall window
-// backdated to the op's start, the next committed write closes it.
-func (cl *Client) withRetry(isWrite bool, tr trace.Ref, attempt func(try int, atr trace.Ref, done func([]byte, error)), done func([]byte, error)) {
-	r := cl.Retry
-	eng := cl.eng()
-	start := eng.Now()
-	var prevAttempt uint64 // span ID of the previous attempt (cause link)
-	var issue func(try int)
-	issue = func(try int) {
-		// Children of this attempt (OSD service spans, failover markers)
-		// parent under the attempt span so the critical path can descend
-		// attempt → osd-service.
-		h, atr := cl.TraceSink.Open(tr, "rados-attempt")
-		if try > 0 {
-			h.Link(trace.KindRetry, prevAttempt)
-		}
-		prevAttempt = h.ID()
-		waiting := true
-		var timer sim.EventID
-		observe := func(data []byte, err error) {
-			// The attempt span ends when the caller stops observing it —
-			// at completion or at deadline abandonment.
-			h.End()
-			if err == nil || try >= r.MaxRetries {
-				if isWrite && r.Counters != nil {
-					if err == nil {
-						r.Counters.WriteOK(eng.Now())
-					} else {
-						r.Counters.WriteFailed(start)
-					}
-				}
-				done(data, err)
-				return
-			}
-			if r.Counters != nil {
-				r.Counters.Retries++
-			}
-			if r.Backoff != nil {
-				if d := r.Backoff(try); d > 0 {
-					eng.Schedule(d, func() { issue(try + 1) })
-					return
-				}
-			}
-			issue(try + 1)
-		}
-		eng.Schedule(0, func() {
-			attempt(try, atr, func(data []byte, err error) {
-				eng.Schedule(0, func() {
-					if !waiting {
-						return // abandoned at the deadline
-					}
-					waiting = false
-					eng.Cancel(timer)
-					observe(data, err)
-				})
-			})
-		})
-		if r.Deadline > 0 {
-			timer = eng.Schedule(r.Deadline, func() {
-				if !waiting {
-					return
-				}
-				waiting = false
-				if r.Counters != nil {
-					r.Counters.DeadlineExceeded++
-				}
-				observe(nil, ErrDeadline)
-			})
-		}
-	}
-	issue(0)
-}
-
 func (cl *Client) writeReplicated(pool *Pool, obj string, off int, data []byte, opts ReqOpts, done func(error)) {
 	c := cl.Cluster
 	acting, err := c.ActingSet(pool, c.PGOf(pool, obj))
@@ -368,24 +280,21 @@ func (cl *Client) writeReplicated(pool *Pool, obj string, off int, data []byte, 
 		done(err)
 		return
 	}
-	op := cl.getOp(pool, true)
-	for _, o := range acting {
-		if o != crush.ItemNone && c.OSDs[o].Up() {
-			// Every up member is a leg; the first is the primary, which
-			// writes locally while replicating to the others.
-			l := op.leg()
-			l.osd, l.node, l.local = o, c.NodeOf(o), op.nlegs == 1
-			l.kind, l.obj, l.off, l.data, l.n = OpWrite, obj, off, data, 0
-			l.reqBytes, l.ackBytes = HdrBytes+len(data), HdrBytes
-		}
-	}
-	if op.nlegs == 0 {
-		op.recycle()
-		done(fmt.Errorf("rados: pg for %q has no up replicas", obj))
+	cl.ranks, err = c.WriteTargets(cl.ranks, pool, obj, acting)
+	if err != nil {
+		done(err)
 		return
 	}
+	op := cl.getOp(pool, true)
+	for i, rank := range cl.ranks {
+		// Every up member is a leg; the first is the primary, which
+		// writes locally while replicating to the others.
+		l := op.leg()
+		l.OSD, l.Local = acting[rank], i == 0
+		l.Kind, l.Obj, l.Off, l.Data, l.N = OpWrite, obj, off, data, 0
+	}
 	op.data, op.opts, op.writeDone = data, opts, done
-	op.pNode = op.legs[0].node
+	op.pNode = c.NodeOf(op.legs[0].OSD)
 	op.advance()
 }
 
@@ -495,10 +404,8 @@ func (cl *Client) readReplicatedSplit(pool *Pool, obj string, off, n int, opts R
 	})
 }
 
-// readReplicated reads from one replica. shift rotates the source among the
-// up members of the acting set (retry attempt k reads from the k-th up
-// replica, mod the up count) so failed primaries fail over instead of being
-// re-asked forever; shift 0 is the plain primary read.
+// readReplicated reads from the replica Cluster.ReadTarget picks for shift
+// (retry attempt shift fails over to the shift-th up replica).
 func (cl *Client) readReplicated(pool *Pool, obj string, off, n int, opts ReqOpts, shift int, done func([]byte, error)) {
 	c := cl.Cluster
 	acting, err := c.ActingSet(pool, c.PGOf(pool, obj))
@@ -506,45 +413,20 @@ func (cl *Client) readReplicated(pool *Pool, obj string, off, n int, opts ReqOpt
 		done(nil, err)
 		return
 	}
-	primary, ok := c.PrimaryFor(acting)
-	if !ok {
-		done(nil, fmt.Errorf("rados: pg for %q has no up replicas", obj))
+	osd, failover, err := c.ReadTarget(obj, acting, shift)
+	if err != nil {
+		done(nil, err)
 		return
 	}
-	if shift > 0 {
-		up := 0
-		for _, o := range acting {
-			if o != crush.ItemNone && c.OSDs[o].Up() {
-				up++
-			}
-		}
-		pick := shift % up
-		for _, o := range acting {
-			if o == crush.ItemNone || !c.OSDs[o].Up() {
-				continue
-			}
-			if pick == 0 {
-				if o != primary {
-					primary = o
-					if cl.Retry != nil && cl.Retry.Counters != nil {
-						cl.Retry.Counters.Failovers++
-					}
-					// Instant cause marker: this attempt reads a
-					// non-primary replica because earlier attempts failed.
-					cl.TraceSink.Emit(opts.Trace, "replica-failover",
-						cl.eng().Now(), 0, 0, trace.KindFailover, 0)
-				}
-				break
-			}
-			pick--
-		}
+	if failover {
+		cl.Retry.Failover(cl.TraceSink, opts.Trace)
 	}
 	op := cl.getOp(pool, false)
 	op.n, op.opts, op.readDone = n, opts, done
-	op.pNode = c.NodeOf(primary)
+	op.pNode = c.NodeOf(osd)
 	l := op.leg()
-	l.osd, l.node, l.local = primary, op.pNode, true
-	l.kind, l.obj, l.off, l.data, l.n = OpRead, obj, off, nil, n
+	l.OSD, l.Local = osd, true
+	l.Kind, l.Obj, l.Off, l.Data, l.N = OpRead, obj, off, nil, n
 	op.advance()
 }
 
@@ -555,20 +437,15 @@ func (cl *Client) writeEC(pool *Pool, obj string, off int, data []byte, opts Req
 		done(err)
 		return
 	}
-	upCount := 0
-	for _, o := range acting {
-		if o != crush.ItemNone && c.OSDs[o].Up() {
-			upCount++
-		}
-	}
-	if upCount < pool.K {
-		done(fmt.Errorf("rados: pg for %q has %d up shards, need >= %d", obj, upCount, pool.K))
+	cl.ranks, err = c.WriteTargets(cl.ranks, pool, obj, acting)
+	if err != nil {
+		done(err)
 		return
 	}
 	op := cl.getOp(pool, true)
 	op.obj, op.off, op.data, op.opts, op.writeDone = obj, off, data, opts, done
 	op.acting = acting
-	op.primary, _ = c.PrimaryFor(acting)
+	op.primary = acting[cl.ranks[0]]
 	op.pNode = c.NodeOf(op.primary)
 	op.advance()
 }
@@ -580,9 +457,9 @@ func (cl *Client) readEC(pool *Pool, obj string, off, n int, opts ReqOpts, done 
 		done(nil, err)
 		return
 	}
-	primary, ok := c.PrimaryFor(acting)
-	if !ok {
-		done(nil, fmt.Errorf("rados: pg for %q has no up shards", obj))
+	primary, _, err := c.ReadTarget(obj, acting, 0)
+	if err != nil {
+		done(nil, err)
 		return
 	}
 	op := cl.getOp(pool, false)

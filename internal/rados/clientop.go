@@ -1,9 +1,6 @@
 package rados
 
 import (
-	"fmt"
-
-	"repro/internal/crush"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -27,13 +24,19 @@ import (
 // pooled legs) are bound once at construction, so a warm op allocates only
 // what the request itself needs (EC shard keys). Like the engine, a Client
 // is single-threaded; its freelist is unsynchronised on purpose.
+//
+// The legs are the shared per-OSD round trip (Leg) that core.Fanout also
+// fans out, and the targets come from the same Cluster choices
+// (WriteTargets, ECReadSources, ReadTarget); what differs is that this
+// protocol issues them from the primary and awaits them in order.
 type clientOp struct {
 	cl  *Client
 	eng *sim.Engine
 	pc  int // stage advance re-enters at
 	// step re-enters advance; arrive is a SendWait arrival, which hops one
-	// event to step.
+	// event to step; legDone is every leg's completion (fire).
 	step, arrive func()
+	legDone      func(*Leg)
 
 	write   bool
 	pool    *Pool
@@ -53,7 +56,7 @@ type clientOp struct {
 	// the await is parked on it. inflight counts issued, unfinished legs;
 	// a read that stopped at a failed leg is recycled only once the rest
 	// are back.
-	legs     []*leg
+	legs     []*Leg
 	nlegs    int
 	next     int
 	waiting  bool
@@ -76,31 +79,6 @@ const (
 	stDone           // complete the caller
 )
 
-// leg is one primary → OSD sub-request of a clientOp: a fabric hop from
-// the primary's node (skipped when the OSD is the primary itself), the OSD
-// service, and the ack hop back.
-type leg struct {
-	op       *clientOp
-	osd      int
-	rank     int
-	node     *netsim.Host
-	local    bool
-	kind     OpType
-	obj      string
-	off, n   int
-	data     []byte
-	reqBytes int
-	ackBytes int
-
-	fired bool
-	err   error
-	res   []byte
-
-	send     func()
-	onResult func(Result)
-	ack      func()
-}
-
 func (cl *Client) getOp(pool *Pool, write bool) *clientOp {
 	var op *clientOp
 	if n := len(cl.free); n > 0 {
@@ -111,6 +89,7 @@ func (cl *Client) getOp(pool *Pool, write bool) *clientOp {
 		op = &clientOp{cl: cl}
 		op.step = op.advance
 		op.arrive = func() { op.eng.Schedule(0, op.step) }
+		op.legDone = op.fire
 	}
 	op.eng, op.pc, op.pool, op.write = cl.eng(), stPlace, pool, write
 	return op
@@ -150,7 +129,7 @@ func (op *clientOp) advance() {
 				err = op.issueECReads()
 			default: // replicated: the legs were set up at submission
 				for _, l := range op.legs[:op.nlegs] {
-					l.issue()
+					op.issue(l)
 				}
 			}
 			if err != nil {
@@ -168,9 +147,7 @@ func (op *clientOp) advance() {
 			}
 			op.pc = stReply
 			if op.decode {
-				if cl.Retry != nil && cl.Retry.Counters != nil {
-					cl.Retry.Counters.DegradedReads++
-				}
+				cl.Retry.Degraded()
 				op.span = cl.TraceSink.Begin(op.opts.Trace, "ec-decode")
 				op.span.Link(trace.KindDegraded, 0)
 				op.sleep(cl.ECDecodeCost(op.n), stReply)
@@ -186,7 +163,7 @@ func (op *clientOp) advance() {
 						return
 					}
 				} else {
-					op.out = op.legs[0].res
+					op.out = op.legs[0].Res
 				}
 				n += op.n
 			}
@@ -200,44 +177,25 @@ func (op *clientOp) advance() {
 }
 
 // leg returns the op's next leg, growing the pool on first use.
-func (op *clientOp) leg() *leg {
+func (op *clientOp) leg() *Leg {
 	if op.nlegs == len(op.legs) {
-		l := &leg{op: op}
-		l.send = func() {
-			l.op.cl.Cluster.OSDs[l.osd].SubmitOpts(l.op.opts, l.kind, l.obj, l.off, l.data, l.n, l.onResult)
-		}
-		l.onResult = func(r Result) {
-			l.err, l.res = r.Err, r.Data
-			if l.local {
-				l.fire()
-				return
-			}
-			l.op.cl.fabric().Send(l.node, l.op.pNode, l.ackBytes, l.ack)
-		}
-		l.ack = l.fire
-		op.legs = append(op.legs, l)
+		op.legs = append(op.legs, NewLeg(op.cl.Cluster, op.legDone))
 	}
 	l := op.legs[op.nlegs]
 	op.nlegs++
-	l.fired, l.err, l.res = false, nil, nil
 	return l
 }
 
-// issue starts the leg from the primary.
-func (l *leg) issue() {
-	l.op.inflight++
-	if l.local {
-		l.send()
-		return
-	}
-	l.op.cl.fabric().Send(l.op.pNode, l.node, l.reqBytes, l.send)
+// issue starts leg l from the primary.
+func (op *clientOp) issue(l *Leg) {
+	l.From, l.Opts = op.pNode, op.opts
+	op.inflight++
+	l.Issue()
 }
 
-// fire records the leg's completion. If the op's await is parked on this
+// fire accounts a leg's completion. If the op's await is parked on this
 // leg it resumes one event later, like a completion waking its awaiter.
-func (l *leg) fire() {
-	op := l.op
-	l.fired = true
+func (op *clientOp) fire(l *Leg) {
 	op.inflight--
 	if op.waiting && op.legs[op.next] == l {
 		op.waiting = false
@@ -268,14 +226,14 @@ func (op *clientOp) sendWait(src, dst *netsim.Host, n, pc int) {
 func (op *clientOp) awaitLegs() bool {
 	for op.next < op.nlegs {
 		l := op.legs[op.next]
-		if !l.fired {
+		if !l.Acked {
 			op.waiting = true
 			return false
 		}
 		op.next++
-		if l.err != nil {
+		if l.Err != nil {
 			if op.err == nil {
-				op.err = l.err
+				op.err = l.Err
 			}
 			if !op.write {
 				return true
@@ -303,7 +261,7 @@ func (op *clientOp) finish(data []byte, err error) {
 
 func (op *clientOp) recycle() {
 	for _, l := range op.legs[:op.nlegs] {
-		l.obj, l.data, l.res, l.err = "", nil, nil, nil
+		l.Release()
 	}
 	op.pool, op.obj, op.data, op.opts, op.acting, op.out = nil, "", nil, ReqOpts{}, nil, nil
 	op.span, op.err, op.writeDone, op.readDone = trace.H{}, nil, nil, nil
@@ -312,7 +270,9 @@ func (op *clientOp) recycle() {
 }
 
 // issueECShards encodes the stripe (functional mode only) and issues one
-// shard write per up acting rank.
+// shard write per up acting rank. The up set is read again here, after the
+// request hop and the encode, so a shard whose OSD went down meanwhile is
+// skipped (a degraded write); the k-up check was made at submission.
 func (op *clientOp) issueECShards() error {
 	c, pool := op.cl.Cluster, op.pool
 	shardSize := (len(op.data) + pool.K - 1) / pool.K
@@ -323,51 +283,39 @@ func (op *clientOp) issueECShards() error {
 			return err
 		}
 	}
-	for rank, o := range op.acting {
-		if o == crush.ItemNone || !c.OSDs[o].Up() {
-			continue // degraded write: skip unreachable shard
-		}
+	cl := op.cl
+	cl.ranks, _ = c.WriteTargets(cl.ranks, pool, op.obj, op.acting)
+	for _, rank := range cl.ranks {
 		payload := Zeros(shardSize) // timing-only: the size is what counts
 		if shards != nil {
 			payload = shards[rank]
 		}
 		l := op.leg()
-		l.osd, l.node, l.local = o, c.NodeOf(o), o == op.primary
-		l.kind, l.obj, l.off, l.data, l.n = OpWrite, ShardKey(op.obj, op.off, rank), 0, payload, 0
-		l.reqBytes, l.ackBytes = HdrBytes+shardSize, HdrBytes
-		l.issue()
+		l.OSD, l.Rank = op.acting[rank], rank
+		l.Local = l.OSD == op.primary
+		l.Kind, l.Obj, l.Off, l.Data, l.N = OpWrite, ShardKey(op.obj, op.off, rank), 0, payload, 0
+		op.issue(l)
 	}
 	return nil
 }
 
-// issueECReads chooses k source ranks, preferring the data shards, and
-// issues one shard read to each.
+// issueECReads issues one shard read to each of the k source ranks the
+// Cluster chooses.
 func (op *clientOp) issueECReads() error {
 	c, pool := op.cl.Cluster, op.pool
 	shardSize := (op.n + pool.K - 1) / pool.K
-	src := func(rank int) {
-		o := op.acting[rank]
-		if o == crush.ItemNone || !c.OSDs[o].Up() {
-			return
-		}
+	cl := op.cl
+	var err error
+	cl.ranks, op.decode, err = c.ECReadSources(cl.ranks, pool, op.obj, op.acting)
+	if err != nil {
+		return err
+	}
+	for _, rank := range cl.ranks {
 		l := op.leg()
-		l.osd, l.rank, l.node, l.local = o, rank, c.NodeOf(o), o == op.primary
-		l.kind, l.n, l.data, l.off = OpRead, shardSize, nil, 0
-		l.reqBytes, l.ackBytes = HdrBytes, HdrBytes+shardSize
-	}
-	for rank := 0; rank < pool.K && op.nlegs < pool.K; rank++ {
-		src(rank)
-	}
-	op.decode = op.nlegs < pool.K
-	for rank := pool.K; rank < pool.K+pool.M && op.nlegs < pool.K; rank++ {
-		src(rank)
-	}
-	if op.nlegs < pool.K {
-		return fmt.Errorf("rados: pg for %q has too few up shards", op.obj)
-	}
-	for _, l := range op.legs[:op.nlegs] {
-		l.obj = ShardKey(op.obj, op.off, l.rank)
-		l.issue()
+		l.OSD, l.Rank = op.acting[rank], rank
+		l.Local = l.OSD == op.primary
+		l.Kind, l.Obj, l.Off, l.Data, l.N = OpRead, ShardKey(op.obj, op.off, rank), 0, nil, shardSize
+		op.issue(l)
 	}
 	return nil
 }
@@ -382,7 +330,7 @@ func (op *clientOp) assembleEC() error {
 	pool := op.pool
 	gathered := make([][]byte, pool.K+pool.M)
 	for _, l := range op.legs[:op.nlegs] {
-		gathered[l.rank] = l.res
+		gathered[l.Rank] = l.Res
 	}
 	if op.decode {
 		// Degraded read: rebuild only the missing data shards — Join

@@ -358,13 +358,78 @@ func (c *Cluster) MapEpoch() uint64 {
 // Monitor returns the attached monitor, or nil.
 func (c *Cluster) Monitor() *Monitor { return c.monitor }
 
-// PrimaryFor returns the acting primary for a PG: the first up member of
-// the acting set. ok is false when every member is down.
-func (c *Cluster) PrimaryFor(acting []int) (int, bool) {
-	for _, o := range acting {
-		if o >= 0 && o < len(c.OSDs) && c.OSDs[o].Up() {
-			return o, true
+// --- target choice, shared by both fan-out protocols ---
+
+// up reports whether acting-set member o is placed and up.
+func (c *Cluster) up(o int) bool { return o != crush.ItemNone && c.OSDs[o].Up() }
+
+// WriteTargets returns the ranks of the acting set's up members in rank
+// order, reusing buf's storage: the targets of a write. A replicated
+// write's first target is its primary, and it fails with no member up; an
+// erasure-coded write fails with fewer than k up.
+func (c *Cluster) WriteTargets(buf []int, pool *Pool, obj string, acting []int) ([]int, error) {
+	ranks := buf[:0]
+	for rank, o := range acting {
+		if c.up(o) {
+			ranks = append(ranks, rank)
 		}
 	}
-	return -1, false
+	switch {
+	case pool.Kind == ECPool && len(ranks) < pool.K:
+		return ranks, fmt.Errorf("rados: pg for %q has %d up shards, need >= %d", obj, len(ranks), pool.K)
+	case len(ranks) == 0:
+		return ranks, errNoneUp(obj)
+	}
+	return ranks, nil
+}
+
+// ECReadSources returns k source ranks for reading an erasure-coded
+// stripe, reusing buf's storage. Data ranks come first, so a healthy read
+// needs no decode; needDecode reports that parity ranks stand in for
+// missing data ranks. The read fails with fewer than k up.
+func (c *Cluster) ECReadSources(buf []int, pool *Pool, obj string, acting []int) (ranks []int, needDecode bool, err error) {
+	ranks = buf[:0]
+	for rank := 0; rank < pool.K+pool.M && len(ranks) < pool.K; rank++ {
+		if c.up(acting[rank]) {
+			ranks = append(ranks, rank)
+		}
+	}
+	needDecode = len(ranks) < pool.K || ranks[pool.K-1] >= pool.K
+	if len(ranks) < pool.K {
+		err = fmt.Errorf("rados: pg for %q has too few up shards", obj)
+	}
+	return ranks, needDecode, err
+}
+
+// ReadTarget returns the replica a replicated read asks: the shift-th up
+// member of the acting set, mod the up count. Retry attempt k passes shift
+// k, so a failed primary is failed over instead of being re-asked forever;
+// shift 0 is the primary, the first up member. failover reports a
+// non-primary pick.
+func (c *Cluster) ReadTarget(obj string, acting []int, shift int) (osd int, failover bool, err error) {
+	if shift > 0 {
+		up := 0
+		for _, o := range acting {
+			if c.up(o) {
+				up++
+			}
+		}
+		if up > 0 {
+			shift %= up
+		}
+	}
+	failover = shift > 0
+	for _, o := range acting {
+		if c.up(o) {
+			if shift == 0 {
+				return o, failover, nil
+			}
+			shift--
+		}
+	}
+	return crush.ItemNone, false, errNoneUp(obj)
+}
+
+func errNoneUp(obj string) error {
+	return fmt.Errorf("rados: pg for %q has no up replicas", obj)
 }

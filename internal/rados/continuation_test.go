@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -54,6 +55,60 @@ func TestOSDSubmitAllocBound(t *testing.T) {
 	}
 	if o.InFlight() != 0 || o.lanes.InUse() != 0 {
 		t.Fatalf("after drain: %d in flight, %d lanes held", o.InFlight(), o.lanes.InUse())
+	}
+}
+
+// TestClientReplicatedAllocPin pins the warm replicated data path of the
+// software client: with the op pool, the OSD records and the engine's event
+// freelist warm, a WriteAsync or ReadAsync driven through its whole round
+// trip allocates nothing beyond the caller's done closures, made once
+// outside.
+func TestClientReplicatedAllocPin(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultClusterConfig()
+	cfg.Profile.JitterFrac = 0
+	cfg.NewStore = func() ObjectStore { return NewNullStore() }
+	c, err := NewCluster(eng, netsim.NewFabric(eng, 5*sim.Microsecond), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewClient(c, "client", 10e9, netsim.SoftwareStack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := c.CreateReplicatedPool("rbd", 3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 4096)
+	completed := 0
+	writeDone := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		completed++
+	}
+	readDone := func(_ []byte, err error) { writeDone(err) }
+	const warm = 64
+	for i := 0; i < warm; i++ {
+		cl.WriteAsync(pool, "obj", 0, payload, ReqOpts{}, writeDone)
+		cl.ReadAsync(pool, "obj", 0, len(payload), ReqOpts{}, readDone)
+	}
+	eng.Run()
+	if completed != 2*warm {
+		t.Fatalf("warmup completed %d ops, want %d", completed, 2*warm)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		cl.WriteAsync(pool, "obj", 0, payload, ReqOpts{}, writeDone)
+		eng.Run()
+	}); a != 0 {
+		t.Errorf("warm WriteAsync round trip allocated %.1f/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		cl.ReadAsync(pool, "obj", 0, len(payload), ReqOpts{}, readDone)
+		eng.Run()
+	}); a != 0 {
+		t.Errorf("warm ReadAsync round trip allocated %.1f/op, want 0", a)
 	}
 }
 
