@@ -54,9 +54,14 @@ go test -race -count=1 -run 'TestScale' ./internal/rados/ ./internal/experiments
 # keys cost one allocation, that the client's proc wrappers survive a
 # synchronous failure and an early-stopped EC read, that the shared retry
 # driver keeps its contract, and that a Resource stays FIFO across proc and
-# callback waiters — under the race detector.
+# callback waiters — under the race detector. The card path rides along:
+# a zero-length I/O completes once on every stack shape, the card's
+# placement equals uncached CRUSH for every pg (and a placement error fails
+# the extent before any fan-out), a warm card write allocates nothing, and
+# image extent mapping allocates nothing.
 echo "== continuation paths (race: no per-op procs + alloc pins + retry driver + mixed FIFO) =="
-go test -race -count=1 -run 'TestNoPerOpProcs|TestFanoutIssueZeroAlloc|TestFanoutECIssueAllocBound' ./internal/core/
+go test -race -count=1 -run 'TestNoPerOpProcs|TestFanoutIssueZeroAlloc|TestFanoutECIssueAllocBound|TestZeroLengthIOCompletesOnce|TestCardPlacementMatchesUncached|TestCardPlacementErrorFailsExtent|TestCardWriteAllocPin' ./internal/core/
+go test -race -count=1 -run 'TestObjectNameMemoPin|TestExtentsIntoBufferZeroAlloc' ./internal/rbd/
 go test -race -count=1 -run 'TestOSDSubmitAllocBound|TestShardKeyOneAlloc|TestClientSynchronousFailure|TestECReadStopsAtFailedShard|TestClientReplicatedAllocPin|TestRetryDriver' \
     ./internal/rados/
 go test -race -count=1 -run 'TestResourceFIFOMixedWaiters|TestAcquireFuncRespectsQueue|TestBlockSynchronousWake|TestResourceBacklogBounded' \
@@ -65,14 +70,15 @@ go test -race -count=1 -run 'TestResourceFIFOMixedWaiters|TestAcquireFuncRespect
 # The window workers only run concurrently when GOMAXPROCS > 1, and the
 # solo path only runs at 1, so pin both: the shard protocol tests, the
 # golden digests and the stage profile (whose split-domain stages are fed
-# from two shard workers) at GOMAXPROCS=1 and 4. GOMAXPROCS may exceed the
-# CPU count, so this exercises the concurrent path on a 1-CPU box too.
+# from two shard workers) at GOMAXPROCS=1 and 4, plus the card write alloc
+# pin, which fills the image's lazy object-name memo. GOMAXPROCS may exceed
+# the CPU count, so this exercises the concurrent path on a 1-CPU box too.
 echo "== window workers at GOMAXPROCS=1 and 4 =="
 for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestShard|TestEngineReserve|TestFreelistCap|TestHeapRandomOrder' \
         ./internal/sim/ ./internal/netsim/
     GOMAXPROCS=$procs go test -count=1 -run 'TestGoldenDigests' ./internal/experiments/
-    GOMAXPROCS=$procs go test -count=1 -run 'TestStageProfile|TestNoPerOpProcs' ./internal/core/
+    GOMAXPROCS=$procs go test -count=1 -run 'TestStageProfile|TestNoPerOpProcs|TestCardWriteAllocPin' ./internal/core/
 done
 
 # Write-back cache tier: the LSVD log/index/flush machinery runs a

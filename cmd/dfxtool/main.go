@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/crush"
 	"repro/internal/erasure"
 	"repro/internal/fpga"
 	"repro/internal/metrics"
@@ -41,19 +40,11 @@ func main() {
 	flag.Parse()
 
 	eng := sim.NewEngine()
-	m, _, err := crush.BuildCluster(crush.ClusterSpec{Hosts: 2, OSDsPerHost: 16})
-	if err != nil {
-		fatal(err)
-	}
 	code, err := erasure.New(4, 2, erasure.VandermondeRS)
 	if err != nil {
 		fatal(err)
 	}
-	shell, err := fpga.BuildShell(eng, fpga.ShellConfig{
-		Map:  m,
-		Rule: m.Rule("replicated_rule"),
-		Code: code,
-	})
+	shell, err := fpga.BuildShell(eng, fpga.ShellConfig{Code: code})
 	if err != nil {
 		fatal(err)
 	}

@@ -20,11 +20,15 @@ import (
 // timing: the packetisation FSM cost follows the fan-out generation
 // (RTL vs. HLS TCP stack) and the kernel penalty scale follows the
 // placement generation.
+//
+// Each extent runs as one pooled cardOp, so a warm request allocates
+// nothing here. Like the engine it feeds, a cardBackend is
+// single-threaded; its freelist and extent scratch are unsynchronised on
+// purpose.
 type cardBackend struct {
 	eng   *sim.Engine
-	cm    CostModel
 	shell *fpga.Shell
-	place Placement
+	place *cardPlacement
 	fan   *Fanout
 	image *rbd.Image
 	pool  *rados.Pool
@@ -38,10 +42,17 @@ type cardBackend struct {
 	trace *trace.Sink
 	// pipeNextFree serializes the card's fixed per-I/O pipeline stage.
 	pipeNextFree sim.Time
+
+	exts []rbd.Extent // scratch: the extents of the request being mapped
+	free []*cardOp
 }
 
-// join invokes done(first error) after n sub-operations complete.
+// join invokes done(first error) after n sub-operations complete. A single
+// sub-operation needs no counting, so join(1, done) is done itself.
 func join(n int, done func(error)) func(error) {
+	if n == 1 {
+		return done
+	}
 	remaining := n
 	var firstErr error
 	return func(err error) {
@@ -82,103 +93,154 @@ func (cb *cardBackend) Process(req uifd.CardRequest, done func(err error)) {
 
 // process runs the card pipeline for one block I/O. It is also called
 // directly by the DeLiBA-2 stack, which reaches the card via its legacy DMA
-// path instead of UIFD/QDMA.
+// path instead of UIFD/QDMA. A zero-length I/O maps to no extents and
+// completes at once.
 func (cb *cardBackend) process(op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref, done func(error)) {
-	exts, err := cb.image.Extents(off, n)
+	exts, err := cb.image.Extents(cb.exts[:0], off, n)
 	if err != nil {
 		cb.eng.Schedule(0, func() { done(err) })
 		return
 	}
+	cb.exts = exts
+	if len(exts) == 0 {
+		done(nil)
+		return
+	}
+	// No extent completes inside start (placement always waits for the
+	// kernel FSM), so the scratch slice is not reused under this loop.
 	sub := join(len(exts), done)
 	for _, e := range exts {
-		cb.processExtent(op, pattern, e, tenant, tr, sub)
+		cb.get(op, pattern, e, tenant, tr, sub).start()
 	}
 }
 
-func (cb *cardBackend) processExtent(op OpType, pattern Pattern, e rbd.Extent, tenant int, tr trace.Ref, done func(error)) {
-	if cb.trace != nil && tr.Traced() {
-		// The card-pipeline span contains placement, encode and fan-out;
-		// re-parent so those nest under it.
-		var hp trace.H
-		hp, tr = cb.trace.Open(tr, "card-pipeline")
-		inner := done
-		done = func(err error) {
-			hp.End()
-			inner(err)
-		}
-	}
-	opts := rados.ReqOpts{Random: pattern == Rand, Tenant: tenant, Trace: tr}
-	pg := cb.fan.Cluster.PGOf(cb.pool, e.Object)
+// cardOp is one backing-object extent's trip through the card pipeline:
+// placement on the CRUSH kernel (stage ④), a slot in the pipeline FSM, the
+// RS encoder for EC writes, then the fan-out over the card NIC (stage ⑥).
+// Ops are pooled on the cardBackend with their step callbacks bound once,
+// and an op returns to the pool just before its done runs.
+type cardOp struct {
+	cb   *cardBackend
+	op   OpType
+	ext  rbd.Extent
+	opts rados.ReqOpts // Trace is the card-pipeline span's context
+	span trace.H       // the card-pipeline span
+	step trace.H       // the open crush-select, rs-encode, fanout or ec-reconstruct span
+	done func(error)
 
-	// Stage ④: the placement layer's CRUSH kernel computes the placement
-	// on the card, returning its generation's kernel penalty.
-	cb.place.Select(pg, cb.pool.Width(), tr, func(extra sim.Duration, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		// The Fanout recomputes the identical placement internally; the
-		// accelerator charge above is the hardware time for it.
-		cb.after(extra+cb.reservePipe(cb.procCost), func() {
-			switch {
-			case op == Write && cb.pool.Kind == rados.ECPool:
-				// Stage ④ continued: RS encode on the card, then shard
-				// fan-out over the card NIC (stage ⑥).
-				rs := cb.shell.RS
-				henc := cb.trace.Begin(tr, StageEncode)
-				rs.Encode(e.Len, nil, func(err error) {
-					henc.End()
-					if err != nil {
-						done(err)
-						return
-					}
-					cb.after(cb.hlsExtra(rs.Spec, 1), func() {
-						fopts, fdone := cb.fanout(opts, done)
-						cb.fan.WriteEC(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
-					})
-				})
-			case op == Write:
-				fopts, fdone := cb.fanout(opts, done)
-				cb.fan.WriteReplicated(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
-			case cb.pool.Kind == rados.ECPool:
-				hf, ftr := cb.trace.Open(tr, StageFanout)
-				fopts := opts
-				fopts.Trace = ftr
-				cb.fan.ReadEC(cb.pool, e.Object, e.Off, e.Len, fopts, func(needDecode bool, err error) {
-					hf.End()
-					if err != nil || !needDecode {
-						done(err)
-						return
-					}
-					// Degraded read: reconstruct on the card.
-					hrec := cb.trace.Begin(tr, "ec-reconstruct")
-					hrec.Link(trace.KindDegraded, 0)
-					cb.shell.RS.Encode(e.Len, nil, func(err error) {
-						hrec.End()
-						done(err)
-					})
-				})
-			default:
-				fopts, fdone := cb.fanout(opts, done)
-				cb.fan.ReadReplicated(cb.pool, e.Object, e.Off, e.Len, fopts, fdone)
-			}
-		})
-	})
+	placedFn, pipedFn, fanECFn func()
+	encodedFn, fannedFn        func(error)
+	ecReadFn                   func(needDecode bool, err error)
 }
 
-// fanout opens an extent's fan-out span (stage ⑥) for a traced op,
-// returning the request options and completion its fan-out call runs
-// under; an untraced op gets opts and done back unchanged.
-func (cb *cardBackend) fanout(opts rados.ReqOpts, done func(error)) (rados.ReqOpts, func(error)) {
-	if cb.trace == nil || !opts.Trace.Traced() {
-		return opts, done
+// get takes an op for extent e from the pool. The card-pipeline span
+// opens here and contains placement, encode and fan-out, so their spans
+// nest under it.
+func (cb *cardBackend) get(op OpType, pattern Pattern, e rbd.Extent, tenant int, tr trace.Ref, done func(error)) *cardOp {
+	var o *cardOp
+	if k := len(cb.free); k > 0 {
+		o = cb.free[k-1]
+		cb.free[k-1] = nil
+		cb.free = cb.free[:k-1]
+	} else {
+		o = &cardOp{cb: cb}
+		o.placedFn, o.pipedFn, o.fanECFn = o.placed, o.piped, o.fanEC
+		o.encodedFn, o.fannedFn, o.ecReadFn = o.encoded, o.fanned, o.ecRead
 	}
-	var h trace.H
-	h, opts.Trace = cb.trace.Open(opts.Trace, StageFanout)
-	return opts, func(err error) {
-		h.End()
-		done(err)
+	o.op, o.ext, o.done = op, e, done
+	o.span, tr = cb.trace.Open(tr, "card-pipeline")
+	o.opts = rados.ReqOpts{Random: pattern == Rand, Tenant: tenant, Trace: tr}
+	return o
+}
+
+// finish recycles the op and then completes its caller (in that order —
+// the caller may immediately issue a request that reuses it).
+func (o *cardOp) finish(err error) {
+	cb, done := o.cb, o.done
+	o.span.End()
+	o.ext, o.opts, o.span, o.step, o.done = rbd.Extent{}, rados.ReqOpts{}, trace.H{}, trace.H{}, nil
+	cb.free = append(cb.free, o)
+	done(err)
+}
+
+// start books the placement on the card's CRUSH kernel.
+func (o *cardOp) start() {
+	o.step = o.cb.place.book(o.cb.pool, o.opts.Trace, o.placedFn)
+}
+
+// placed runs when the kernel retires: a placement error fails the extent
+// before any fan-out; otherwise the op waits out the HLS penalty and its
+// slot in the pipeline FSM. The fan-out places the object again itself,
+// from the same epoch cache, so a retry after an epoch change re-places.
+func (o *cardOp) placed() {
+	cb := o.cb
+	o.step.End()
+	_, extra, err := cb.place.answer(cb.pool, cb.fan.Cluster.PGOf(cb.pool, o.ext.Object))
+	if err != nil {
+		o.finish(err)
+		return
 	}
+	cb.after(extra+cb.reservePipe(cb.procCost), o.pipedFn)
+}
+
+// piped runs once the pipeline slot completes: EC writes go through the
+// RS encoder first, everything else fans out.
+func (o *cardOp) piped() {
+	cb, e := o.cb, o.ext
+	switch {
+	case o.op == Write && cb.pool.Kind == rados.ECPool:
+		o.step = cb.trace.Begin(o.opts.Trace, StageEncode)
+		cb.shell.RS.Encode(e.Len, nil, o.encodedFn)
+	case o.op == Write:
+		cb.fan.WriteReplicated(cb.pool, e.Object, e.Off, e.Len, o.fanOpts(), o.fannedFn)
+	case cb.pool.Kind == rados.ECPool:
+		cb.fan.ReadEC(cb.pool, e.Object, e.Off, e.Len, o.fanOpts(), o.ecReadFn)
+	default:
+		cb.fan.ReadReplicated(cb.pool, e.Object, e.Off, e.Len, o.fanOpts(), o.fannedFn)
+	}
+}
+
+// fanOpts opens the extent's fan-out span (stage ⑥) and returns the
+// request options its fan-out call runs under.
+func (o *cardOp) fanOpts() rados.ReqOpts {
+	opts := o.opts
+	o.step, opts.Trace = o.cb.trace.Open(o.opts.Trace, StageFanout)
+	return opts
+}
+
+// encoded runs when the RS encoder retires; the shard fan-out follows the
+// HLS penalty, if any.
+func (o *cardOp) encoded(err error) {
+	o.step.End()
+	if err != nil {
+		o.finish(err)
+		return
+	}
+	o.cb.after(o.cb.hlsExtra(o.cb.shell.RS.Spec, 1), o.fanECFn)
+}
+
+func (o *cardOp) fanEC() {
+	cb, e := o.cb, o.ext
+	cb.fan.WriteEC(cb.pool, e.Object, e.Off, e.Len, o.fanOpts(), o.fannedFn)
+}
+
+// fanned completes the extent when its fan-out (or reconstruction) ends.
+func (o *cardOp) fanned(err error) {
+	o.step.End()
+	o.finish(err)
+}
+
+// ecRead ends an EC read's gather; a degraded read reconstructs on the
+// card before completing.
+func (o *cardOp) ecRead(needDecode bool, err error) {
+	o.step.End()
+	if err != nil || !needDecode {
+		o.finish(err)
+		return
+	}
+	o.step = o.cb.trace.Begin(o.opts.Trace, "ec-reconstruct")
+	o.step.Link(trace.KindDegraded, 0)
+	o.cb.shell.RS.Encode(o.ext.Len, nil, o.fannedFn)
 }
 
 // hlsExtra returns the additional latency an HLS kernel pays over the RTL

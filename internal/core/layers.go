@@ -66,13 +66,9 @@ type Placement interface {
 	// Shell exposes the FPGA design hosting the kernels (nil for
 	// software placement).
 	Shell() *fpga.Shell
-	// Select computes placement asynchronously on the card; cont receives
-	// the post-selection kernel penalty to charge (the HLS slowdown) and
-	// any error.
-	Select(pg uint32, width int, tr trace.Ref, cont func(penalty sim.Duration, err error))
-	// SelectOn computes placement from a blocked host proc — DeLiBA-1's
-	// offload round trip — sleeping the kernel penalty in-line.
-	SelectOn(p *sim.Proc, pg uint32, width int, tr trace.Ref) error
+	// SelectOn computes pg's placement in pool from a blocked host proc —
+	// DeLiBA-1's offload round trip — sleeping the kernel penalty in-line.
+	SelectOn(p *sim.Proc, pool *rados.Pool, pg uint32, tr trace.Ref) error
 }
 
 // FanoutLayer is the network path that carries replica/shard fan-out: the
@@ -202,7 +198,7 @@ func (dp *clientPath) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n,
 // rbd.Image.VisitExtents's. done runs synchronously on a mapping error.
 func clientExtents(sink *trace.Sink, client *rados.Client, image *rbd.Image, pool *rados.Pool,
 	op OpType, off int64, n int, stopOnErr bool, opts rados.ReqOpts, done func(error)) {
-	exts, err := image.Extents(off, n)
+	exts, err := image.Extents(nil, off, n)
 	if err != nil {
 		done(err)
 		return
@@ -268,7 +264,7 @@ func (dp *d1Path) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, ten
 		p.Sleep(2 * (cm.LegacyDMACost + pcieTime(rados.HdrBytes)))
 		ht.End()
 		pg := dp.tb.Cluster.PGOf(dp.pool, e.Object)
-		if err := dp.place.SelectOn(p, pg, dp.pool.Width(), tr); err != nil {
+		if err := dp.place.SelectOn(p, dp.pool, pg, tr); err != nil {
 			return err
 		}
 		// Host-side fan-out over the kernel TCP/IP stack: one sendmsg
@@ -336,12 +332,15 @@ func (hostOnly) Driver() *uifd.Driver { return nil }
 
 // cardPlacement is a card's CRUSH kernel: DeLiBA-K's RTL straw2 kernel at
 // full pipeline speed, or the DeLiBA-1/2 HLS kernel with the HLS latency
-// scale charged on top of the same selection.
+// scale charged on top of the same selection. The kernel charges the
+// Table I time; the placement it yields is the cluster's epoch-cached
+// acting set, the one placement the host and card paths share.
 type cardPlacement struct {
-	kind  PlacementKind
-	shell *fpga.Shell
-	scale float64 // HLS latency scale; unused for RTL
-	trace *trace.Sink
+	kind    PlacementKind
+	shell   *fpga.Shell
+	cluster *rados.Cluster
+	scale   float64 // HLS latency scale; unused for RTL
+	trace   *trace.Sink
 }
 
 func (pl *cardPlacement) Kind() PlacementKind { return pl.kind }
@@ -356,22 +355,45 @@ func (pl *cardPlacement) penalty(passes int) sim.Duration {
 		(pl.scale - 1) * float64(passes))
 }
 
-func (pl *cardPlacement) Select(pg uint32, width int, tr trace.Ref, cont func(sim.Duration, error)) {
+// book opens the kernel span under tr and books one placement for pool —
+// one straw2 FSM pass per replica or shard; retired runs when the kernel
+// retires, and its caller then ends the span and takes the answer.
+func (pl *cardPlacement) book(pool *rados.Pool, tr trace.Ref, retired func()) trace.H {
 	h := pl.trace.Begin(tr, StageAccel)
-	pl.shell.Straw2.Select(pg, width, func(_ []int, err error) {
+	pl.shell.Straw2.Select(pool.Width(), retired)
+	return h
+}
+
+// answer is a retired placement's result: pg's acting set from the
+// cluster's epoch cache and the HLS penalty still to charge.
+func (pl *cardPlacement) answer(pool *rados.Pool, pg uint32) ([]int, sim.Duration, error) {
+	acting, err := pl.cluster.ActingSet(pool, pg)
+	return acting, pl.penalty(pool.Width()), err
+}
+
+// Select places pg of pool on the card kernel; cont receives the acting
+// set, the HLS penalty to charge and any placement error.
+func (pl *cardPlacement) Select(pool *rados.Pool, pg uint32, tr trace.Ref, cont func(acting []int, penalty sim.Duration, err error)) {
+	var h trace.H
+	h = pl.book(pool, tr, func() {
 		h.End()
-		cont(pl.penalty(width), err)
+		cont(pl.answer(pool, pg))
 	})
 }
 
-func (pl *cardPlacement) SelectOn(p *sim.Proc, pg uint32, width int, tr trace.Ref) error {
-	h := pl.trace.Begin(tr, StageAccel)
-	_, err := pl.shell.Straw2.SelectWait(p, pg, width)
-	h.End()
+func (pl *cardPlacement) SelectOn(p *sim.Proc, pool *rados.Pool, pg uint32, tr trace.Ref) error {
+	var penalty sim.Duration
+	var err error
+	p.Block(func(wake func()) {
+		pl.Select(pool, pg, tr, func(_ []int, d sim.Duration, e error) {
+			penalty, err = d, e
+			wake()
+		})
+	})
 	if err != nil || pl.kind != PlacementHLS {
 		return err
 	}
-	p.Sleep(pl.penalty(width))
+	p.Sleep(penalty)
 	return nil
 }
 
@@ -379,12 +401,9 @@ func (pl *cardPlacement) SelectOn(p *sim.Proc, pg uint32, width int, tr trace.Re
 // request cost embeds SWPlacement); nothing runs on a card.
 type swPlacement struct{}
 
-func (swPlacement) Kind() PlacementKind { return PlacementSoftware }
-func (swPlacement) Shell() *fpga.Shell  { return nil }
-func (swPlacement) Select(_ uint32, _ int, _ trace.Ref, cont func(sim.Duration, error)) {
-	cont(0, nil)
-}
-func (swPlacement) SelectOn(*sim.Proc, uint32, int, trace.Ref) error { return nil }
+func (swPlacement) Kind() PlacementKind                                      { return PlacementSoftware }
+func (swPlacement) Shell() *fpga.Shell                                       { return nil }
+func (swPlacement) SelectOn(*sim.Proc, *rados.Pool, uint32, trace.Ref) error { return nil }
 
 // --- fan-out layers ------------------------------------------------------
 
@@ -591,7 +610,8 @@ func (tb *Testbed) buildCardSide(s *pipelineStack) (*cardBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.placement = &cardPlacement{kind: s.spec.Placement, shell: shell, scale: tb.CM.HLSLatencyScale, trace: tb.traceHost}
+	place := &cardPlacement{kind: s.spec.Placement, shell: shell, cluster: tb.Cluster, scale: tb.CM.HLSLatencyScale, trace: tb.traceHost}
+	s.placement = place
 	fan := &Fanout{Cluster: tb.Cluster, From: cardHost, Retry: tb.Res.retryPolicy(), Trace: tb.traceHost}
 	s.fanout = &cardFanout{kind: s.spec.Fanout, fan: fan}
 	procCost := tb.CM.CardProcessing
@@ -604,9 +624,8 @@ func (tb *Testbed) buildCardSide(s *pipelineStack) (*cardBackend, error) {
 	}
 	return &cardBackend{
 		eng:         tb.Eng,
-		cm:          tb.CM,
 		shell:       shell,
-		place:       s.placement,
+		place:       place,
 		fan:         fan,
 		image:       s.image,
 		pool:        s.pool,
@@ -789,7 +808,7 @@ func (tb *Testbed) buildNBDOffload(s *pipelineStack) error {
 	if err != nil {
 		return err
 	}
-	s.placement = &cardPlacement{kind: s.spec.Placement, shell: shell, scale: tb.CM.HLSLatencyScale, trace: tb.traceHost}
+	s.placement = &cardPlacement{kind: s.spec.Placement, shell: shell, cluster: tb.Cluster, scale: tb.CM.HLSLatencyScale, trace: tb.traceHost}
 	fan := &Fanout{Cluster: tb.Cluster, From: hostNIC, Retry: tb.Res.retryPolicy(), Trace: tb.traceHost}
 	s.fanout = &hostFanout{fan: fan}
 	s.block = noBlock{}

@@ -155,15 +155,9 @@ func (rs *ringSet) close() {
 	}
 }
 
-// buildShell constructs the FPGA design bound to the pool's placement rule.
+// buildShell constructs the FPGA design with the pool's EC geometry.
 func buildShell(tb *Testbed, pool *rados.Pool, staticOnly bool) (*fpga.Shell, error) {
-	ruleName := "replicated_osd"
-	if pool.Kind == rados.ECPool {
-		ruleName = "ec_osd"
-	}
 	return fpga.BuildShell(tb.Eng, fpga.ShellConfig{
-		Map:        tb.Cluster.Map,
-		Rule:       tb.Cluster.Map.Rule(ruleName),
 		Code:       pool.Code,
 		StaticOnly: staticOnly,
 	})

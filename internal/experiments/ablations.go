@@ -236,11 +236,7 @@ func DFX() (*DFXResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	shell, err := fpga.BuildShell(tb.Eng, fpga.ShellConfig{
-		Map:  tb.Cluster.Map,
-		Rule: tb.Cluster.Map.Rule("replicated_osd"),
-		Code: tb.ECPool.Code,
-	})
+	shell, err := fpga.BuildShell(tb.Eng, fpga.ShellConfig{Code: tb.ECPool.Code})
 	if err != nil {
 		return nil, err
 	}
@@ -262,10 +258,7 @@ func DFX() (*DFXResult, error) {
 				return
 			}
 			// The static Straw2 kernel keeps serving while swapping.
-			if _, err := shell.Straw2.SelectWait(p, 1, 2); err != nil {
-				swapErr = err
-				return
-			}
+			p.Block(func(wake func()) { shell.Straw2.Select(2, wake) })
 		}
 	})
 	tb.Eng.Run()

@@ -129,8 +129,6 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 		return 0, err
 	}
 	shell, err := fpga.BuildShell(tb.Eng, fpga.ShellConfig{
-		Map:        tb.Cluster.Map,
-		Rule:       tb.Cluster.Map.Rule("replicated_osd"),
 		Code:       tb.ECPool.Code,
 		StaticOnly: true,
 	})
@@ -143,7 +141,9 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 		// real card; model it as a QDMA-class PCIe crossing.
 		p.Sleep(3 * sim.Microsecond)
 		if id == fpga.KRSEncoder {
-			shell.RS.EncodeWait(p, 4096, nil)
+			p.Block(func(wake func()) {
+				shell.RS.Encode(4096, nil, func(error) { wake() })
+			})
 		} else {
 			var acc *fpga.CrushAccel
 			switch id {
@@ -155,7 +155,7 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 				acc, _ = shell.DynAccel(id)
 			}
 			if acc != nil {
-				acc.SelectWait(p, 7, 2)
+				p.Block(func(wake func()) { acc.Select(2, wake) })
 			}
 		}
 		p.Sleep(2 * sim.Microsecond) // C2H result + completion
@@ -280,11 +280,7 @@ func Table3() ([]*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	shell, err := fpga.BuildShell(tb.Eng, fpga.ShellConfig{
-		Map:  tb.Cluster.Map,
-		Rule: tb.Cluster.Map.Rule("replicated_osd"),
-		Code: tb.ECPool.Code,
-	})
+	shell, err := fpga.BuildShell(tb.Eng, fpga.ShellConfig{Code: tb.ECPool.Code})
 	if err != nil {
 		return nil, err
 	}
@@ -338,8 +334,6 @@ func Power() (*PowerResult, error) {
 			return 0, err
 		}
 		shell, err := fpga.BuildShell(tb.Eng, fpga.ShellConfig{
-			Map:        tb.Cluster.Map,
-			Rule:       tb.Cluster.Map.Rule("replicated_osd"),
 			Code:       tb.ECPool.Code,
 			StaticOnly: staticOnly,
 		})

@@ -5,10 +5,11 @@
 // and Reed-Solomon encoding) with their measured cycle counts, and the
 // card-level power model.
 //
-// The kernels are functional: they run the same internal/crush and
-// internal/erasure code as the software path, so hardware and software
-// produce identical placements and parities — only the charged virtual time
-// differs.
+// The CRUSH kernels charge the FSM time only: the card pipeline takes the
+// placement from the host's epoch-cached CRUSH result when a selection
+// retires, so hardware and software placements are one computation. The
+// RS encoder runs the same internal/erasure code as the software path, so
+// parities are identical — only the charged virtual time differs.
 package fpga
 
 import (

@@ -116,17 +116,10 @@ func TestKernelTableMatchesPaper(t *testing.T) {
 
 func TestAccelFSMSerialization(t *testing.T) {
 	eng := sim.NewEngine()
-	m, _, err := crush.FlatCluster(8, crush.Straw2Alg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := NewCrushAccel(eng, KStraw2, m, m.Rule("flat"))
+	acc := NewCrushAccel(eng, KStraw2)
 	var finishes []sim.Time
 	for i := 0; i < 3; i++ {
-		acc.Select(uint32(i), 1, func(osds []int, err error) {
-			if err != nil || len(osds) != 1 {
-				t.Errorf("select: %v %v", osds, err)
-			}
+		acc.Select(1, func() {
 			finishes = append(finishes, eng.Now())
 		})
 	}
@@ -145,35 +138,6 @@ func TestAccelFSMSerialization(t *testing.T) {
 	}
 }
 
-func TestCrushAccelMatchesSoftware(t *testing.T) {
-	eng := sim.NewEngine()
-	m, _, _ := crush.BuildCluster(crush.ClusterSpec{Hosts: 4, OSDsPerHost: 4})
-	rule := m.Rule("replicated_rule")
-	acc := NewCrushAccel(eng, KStraw2, m, rule)
-	var hwResult []int
-	eng.Spawn("hw", func(p *sim.Proc) {
-		osds, err := acc.SelectWait(p, 1234, 3)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		hwResult = osds
-	})
-	eng.Run()
-	swResult, err := m.Select(rule, 1234, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hwResult) != len(swResult) {
-		t.Fatalf("hw %v vs sw %v", hwResult, swResult)
-	}
-	for i := range hwResult {
-		if hwResult[i] != swResult[i] {
-			t.Fatalf("hw %v vs sw %v", hwResult, swResult)
-		}
-	}
-}
-
 func TestRSAccelEncodes(t *testing.T) {
 	eng := sim.NewEngine()
 	code, _ := erasure.New(4, 2, erasure.VandermondeRS)
@@ -183,10 +147,8 @@ func TestRSAccelEncodes(t *testing.T) {
 		data[i] = byte(i)
 	}
 	shards := code.Split(data)
-	var encErr error
-	eng.Spawn("enc", func(p *sim.Proc) {
-		encErr = acc.EncodeWait(p, len(data), shards)
-	})
+	var encErr error = errTest("encode never completed")
+	acc.Encode(len(data), shards, func(err error) { encErr = err })
 	eng.Run()
 	if encErr != nil {
 		t.Fatal(encErr)
@@ -231,14 +193,8 @@ func TestHWBeatsSWForCrushKernels(t *testing.T) {
 func newShellT(t *testing.T, staticOnly bool) (*sim.Engine, *Shell) {
 	t.Helper()
 	eng := sim.NewEngine()
-	m, _, err := crush.BuildCluster(crush.ClusterSpec{Hosts: 2, OSDsPerHost: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
 	code, _ := erasure.New(4, 2, erasure.VandermondeRS)
 	s, err := BuildShell(eng, ShellConfig{
-		Map:        m,
-		Rule:       m.Rule("replicated_rule"),
 		Code:       code,
 		StaticOnly: staticOnly,
 	})

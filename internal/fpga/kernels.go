@@ -176,6 +176,12 @@ type Accel struct {
 	nextFree sim.Time
 	ops      uint64
 	busyTime sim.Duration
+	// queue holds the done callbacks of booked operations, a ring of n
+	// entries from head. The FSM is FIFO, so operations retire in booking
+	// order and one retire callback, bound once, serves them all.
+	queue    []func()
+	head, n  int
+	retireFn func()
 }
 
 // NewAccel instantiates a kernel.
@@ -184,7 +190,9 @@ func NewAccel(eng *sim.Engine, id KernelID) *Accel {
 	if !ok {
 		panic(fmt.Sprintf("fpga: unknown kernel %v", id))
 	}
-	return &Accel{Spec: spec, eng: eng}
+	a := &Accel{Spec: spec, eng: eng}
+	a.retireFn = a.retire
+	return a
 }
 
 // Ops returns completed operations.
@@ -194,7 +202,8 @@ func (a *Accel) Ops() uint64 { return a.ops }
 func (a *Accel) BusyTime() sim.Duration { return a.busyTime }
 
 // run schedules one FSM occupancy of the given service time and calls done
-// when it retires.
+// when it retires. Booking allocates nothing once the queue has grown to
+// the FSM's backlog.
 func (a *Accel) run(service sim.Duration, done func()) {
 	start := a.eng.Now()
 	if a.nextFree > start {
@@ -202,10 +211,26 @@ func (a *Accel) run(service sim.Duration, done func()) {
 	}
 	a.nextFree = start.Add(service)
 	a.busyTime += service
-	a.eng.At(a.nextFree, func() {
-		a.ops++
-		done()
-	})
+	if a.n == len(a.queue) {
+		q := make([]func(), max(8, 2*len(a.queue)))
+		for i := 0; i < a.n; i++ {
+			q[i] = a.queue[(a.head+i)%len(a.queue)]
+		}
+		a.queue, a.head = q, 0
+	}
+	a.queue[(a.head+a.n)%len(a.queue)] = done
+	a.n++
+	a.eng.At(a.nextFree, a.retireFn)
+}
+
+// retire completes the oldest booked operation.
+func (a *Accel) retire() {
+	done := a.queue[a.head]
+	a.queue[a.head] = nil
+	a.head = (a.head + 1) % len(a.queue)
+	a.n--
+	a.ops++
+	done()
 }
 
 // streamCycles is the cycle count to stream n payload bytes through the
@@ -214,39 +239,24 @@ func streamCycles(n int) int {
 	return (n + 31) / 32
 }
 
-// CrushAccel is a CRUSH placement kernel bound to a cluster map. It
-// computes placements with the same crush.Map the host uses, in
-// RTLCyclesMax per selection step.
+// CrushAccel is a CRUSH placement kernel. It models the FSM's time only:
+// RTLCyclesMax per selection step. The placement itself is the host's
+// epoch-cached CRUSH result (rados.Cluster.ActingSet), which the card
+// pipeline reads when a selection retires, so hardware and software
+// placements are one computation.
 type CrushAccel struct {
 	*Accel
-	Map  *crush.Map
-	Rule *crush.Rule
 }
 
-// NewCrushAccel builds a placement accelerator for the given map and rule.
-func NewCrushAccel(eng *sim.Engine, id KernelID, m *crush.Map, rule *crush.Rule) *CrushAccel {
-	return &CrushAccel{Accel: NewAccel(eng, id), Map: m, Rule: rule}
+// NewCrushAccel builds a placement kernel.
+func NewCrushAccel(eng *sim.Engine, id KernelID) *CrushAccel {
+	return &CrushAccel{Accel: NewAccel(eng, id)}
 }
 
-// Select computes numRep placement targets for input x and delivers them to
-// done after the kernel's pipeline time (one FSM pass per replica).
-func (c *CrushAccel) Select(x uint32, numRep int, done func(osds []int, err error)) {
-	service := sim.Duration(numRep) * c.Spec.PipelineLatency()
-	c.run(service, func() {
-		osds, err := c.Map.Select(c.Rule, x, numRep, nil)
-		done(osds, err)
-	})
-}
-
-// SelectWait is the Proc-blocking form of Select.
-func (c *CrushAccel) SelectWait(p *sim.Proc, x uint32, numRep int) ([]int, error) {
-	comp := c.eng.NewCompletion()
-	c.Select(x, numRep, func(osds []int, err error) { comp.Complete(osds, err) })
-	v, err := p.Await(comp)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]int), nil
+// Select books one selection of numRep targets — one FSM pass per
+// replica — and calls done when it retires.
+func (c *CrushAccel) Select(numRep int, done func()) {
+	c.run(sim.Duration(numRep)*c.Spec.PipelineLatency(), done)
 }
 
 // RSAccel is the Reed-Solomon encoder kernel.
@@ -278,12 +288,4 @@ func (r *RSAccel) Encode(n int, shards [][]byte, done func(err error)) {
 		}
 		done(err)
 	})
-}
-
-// EncodeWait is the Proc-blocking form of Encode.
-func (r *RSAccel) EncodeWait(p *sim.Proc, n int, shards [][]byte) error {
-	comp := r.eng.NewCompletion()
-	r.Encode(n, shards, func(err error) { comp.Complete(nil, err) })
-	_, err := p.Await(comp)
-	return err
 }

@@ -44,9 +44,6 @@ type Shell struct {
 	// dynAccels lazily instantiates FSMs for RMs as they go live.
 	dynAccels map[KernelID]*CrushAccel
 
-	crushMap *crush.Map
-	rule     *crush.Rule
-
 	// UseDFX records whether the dynamic kernels live in the RP (true) or
 	// were frozen into the static region (the pre-DeLiBA-K arrangement the
 	// power ablation compares against).
@@ -55,9 +52,6 @@ type Shell struct {
 
 // ShellConfig selects the design variant.
 type ShellConfig struct {
-	// Map and Rule drive the CRUSH accelerators.
-	Map  *crush.Map
-	Rule *crush.Rule
 	// Code is the EC geometry for the RS encoder.
 	Code *erasure.Code
 	// StaticOnly builds all six kernels into the static region (no DFX),
@@ -67,15 +61,10 @@ type ShellConfig struct {
 
 // BuildShell places the DeLiBA-K design onto a fresh U280.
 func BuildShell(eng *sim.Engine, cfg ShellConfig) (*Shell, error) {
-	if cfg.Map == nil || cfg.Rule == nil {
-		return nil, fmt.Errorf("fpga: shell needs a CRUSH map and rule")
-	}
 	dev := NewU280()
 	s := &Shell{
 		Dev:       dev,
 		eng:       eng,
-		crushMap:  cfg.Map,
-		rule:      cfg.Rule,
 		dynAccels: make(map[KernelID]*CrushAccel),
 		UseDFX:    !cfg.StaticOnly,
 	}
@@ -97,8 +86,8 @@ func BuildShell(eng *sim.Engine, cfg ShellConfig) (*Shell, error) {
 	if err := place("rs-encoder", 2, KRSEncoder); err != nil {
 		return nil, err
 	}
-	s.Straw = NewCrushAccel(eng, KStraw, cfg.Map, cfg.Rule)
-	s.Straw2 = NewCrushAccel(eng, KStraw2, cfg.Map, cfg.Rule)
+	s.Straw = NewCrushAccel(eng, KStraw)
+	s.Straw2 = NewCrushAccel(eng, KStraw2)
 	if cfg.Code != nil {
 		s.RS = NewRSAccel(eng, cfg.Code)
 	}
@@ -109,7 +98,7 @@ func BuildShell(eng *sim.Engine, cfg ShellConfig) (*Shell, error) {
 			if err := dev.Place(id.String(), 0, KernelTable[id].Usage); err != nil {
 				return nil, err
 			}
-			s.dynAccels[id] = NewCrushAccel(eng, id, cfg.Map, cfg.Rule)
+			s.dynAccels[id] = NewCrushAccel(eng, id)
 		}
 		return s, nil
 	}
@@ -184,7 +173,7 @@ func (s *Shell) DynAccel(id KernelID) (*CrushAccel, error) {
 	}
 	a, ok := s.dynAccels[id]
 	if !ok {
-		a = NewCrushAccel(s.eng, id, s.crushMap, s.rule)
+		a = NewCrushAccel(s.eng, id)
 		s.dynAccels[id] = a
 	}
 	return a, nil

@@ -366,6 +366,11 @@ func (c *Cache) WriteTraced(off int64, n int, tr trace.Ref, done func(error)) {
 		c.pending = append(c.pending, pendingOp{write: true, off: off, n: n, tr: tr, done: done})
 		return
 	}
+	if n == 0 {
+		// Nothing to log, so no chunk would ever acknowledge the op.
+		done(nil)
+		return
+	}
 	op := c.getWrite()
 	op.off, op.n, op.done, op.epoch, op.tr = off, n, done, c.epoch, tr
 	if !c.issueWrite(op) {

@@ -21,12 +21,18 @@ var ErrOutOfRange = errors.New("rbd: range outside image")
 // DefaultObjectBytes is the standard RBD object size (4 MiB).
 const DefaultObjectBytes = 4 << 20
 
-// Image is a virtual disk striped over pool objects.
+// Image is a virtual disk striped over pool objects. Like the engine it
+// feeds, an Image is single-threaded: its object-name memo is unsynchronised
+// on purpose.
 type Image struct {
 	Name        string
 	Size        int64
 	ObjectBytes int
 	Pool        *rados.Pool
+
+	// names memoises ObjectName by object index. It is sized on first use
+	// and filled lazily, so building an image costs nothing per object.
+	names []string
 }
 
 // NewImage describes an image; no I/O happens until reads/writes.
@@ -49,9 +55,23 @@ func (im *Image) Objects() int64 {
 }
 
 // ObjectName returns the backing object name for stripe index i, using the
-// rbd_data naming convention.
+// rbd_data naming convention. Names of the image's own objects are built
+// once and then served from a memo.
 func (im *Image) ObjectName(i int64) string {
-	return fmt.Sprintf("rbd_data.%s.%016x", im.Name, i)
+	if i < 0 || i >= im.Objects() {
+		return objectName(im.Name, i)
+	}
+	if im.names == nil {
+		im.names = make([]string, im.Objects())
+	}
+	if im.names[i] == "" {
+		im.names[i] = objectName(im.Name, i)
+	}
+	return im.names[i]
+}
+
+func objectName(image string, i int64) string {
+	return fmt.Sprintf("rbd_data.%s.%016x", image, i)
 }
 
 // Extent is a contiguous byte range within one backing object.
@@ -61,12 +81,14 @@ type Extent struct {
 	Len    int
 }
 
-// Extents maps a virtual byte range to backing-object extents.
-func (im *Image) Extents(off int64, n int) ([]Extent, error) {
+// Extents maps a virtual byte range to backing-object extents, appending
+// them to buf; pass a reused buf[:0] to map without allocating. A mapping
+// failure returns buf unchanged.
+func (im *Image) Extents(buf []Extent, off int64, n int) ([]Extent, error) {
 	if off < 0 || n < 0 || off+int64(n) > im.Size {
-		return nil, fmt.Errorf("%w: [%d,%d) in image of %d bytes", ErrOutOfRange, off, off+int64(n), im.Size)
+		return buf, fmt.Errorf("%w: [%d,%d) in image of %d bytes", ErrOutOfRange, off, off+int64(n), im.Size)
 	}
-	var out []Extent
+	out := buf
 	for n > 0 {
 		idx := off / int64(im.ObjectBytes)
 		inOff := int(off % int64(im.ObjectBytes))
@@ -88,7 +110,7 @@ func (im *Image) Extents(off int64, n int) ([]Extent, error) {
 // target aborts a request); otherwise every extent is visited and the first
 // error seen is returned (how the NBD daemons drain a request).
 func (im *Image) VisitExtents(off int64, n int, stopOnErr bool, visit func(Extent) error) error {
-	exts, err := im.Extents(off, n)
+	exts, err := im.Extents(nil, off, n)
 	if err != nil {
 		return err
 	}
@@ -121,7 +143,7 @@ func NewDev(im *Image, cl *rados.Client) *Dev {
 // WriteAt stores data at the virtual offset, spanning objects as needed.
 // Multi-object spans issue in parallel.
 func (d *Dev) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	exts, err := d.Image.Extents(off, len(data))
+	exts, err := d.Image.Extents(nil, off, len(data))
 	if err != nil {
 		return err
 	}
@@ -152,7 +174,7 @@ func (d *Dev) WriteAt(p *sim.Proc, off int64, data []byte) error {
 
 // ReadAt returns n bytes at the virtual offset.
 func (d *Dev) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
-	exts, err := d.Image.Extents(off, n)
+	exts, err := d.Image.Extents(nil, off, n)
 	if err != nil {
 		return nil, err
 	}
