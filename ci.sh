@@ -46,9 +46,11 @@ go test -race -count=1 -run 'TestShard|TestEngineReserve|TestFreelistCap|TestHea
     ./internal/sim/ ./internal/netsim/
 go test -race -count=1 -run 'TestScale' ./internal/rados/ ./internal/experiments/
 
-# One concurrency model: the OSD service, the software RADOS client and
-# the DK-SW ring target are continuations, not per-op procs. Pin that no
-# benchmarked stack spawns a Proc per op, that a warm OSD submit+service
+# One concurrency model: every stack, workload generator and cluster daemon
+# is a continuation, not a proc. Pin that no stack shape spawns a Proc from
+# NewTestbed through Close or leaves a goroutine behind, that fio's workers
+# spawn none, that a warm CQE reap allocates nothing, that every stack
+# fails a submission after Close exactly once, that a warm OSD submit+service
 # allocates nothing, that the fan-out issue paths and the client's warm
 # replicated round trips allocate nothing beyond EC shard keys, that shard
 # keys cost one allocation, that the client's proc wrappers survive a
@@ -60,7 +62,9 @@ go test -race -count=1 -run 'TestScale' ./internal/rados/ ./internal/experiments
 # the extent before any fan-out), a warm card write allocates nothing, and
 # image extent mapping allocates nothing.
 echo "== continuation paths (race: no per-op procs + alloc pins + retry driver + mixed FIFO) =="
-go test -race -count=1 -run 'TestNoPerOpProcs|TestFanoutIssueZeroAlloc|TestFanoutECIssueAllocBound|TestZeroLengthIOCompletesOnce|TestCardPlacementMatchesUncached|TestCardPlacementErrorFailsExtent|TestCardWriteAllocPin' ./internal/core/
+go test -race -count=1 -run 'TestNoPerOpProcs|TestSubmitAfterCloseFailsOnce|TestFanoutIssueZeroAlloc|TestFanoutECIssueAllocBound|TestZeroLengthIOCompletesOnce|TestCardPlacementMatchesUncached|TestCardPlacementErrorFailsExtent|TestCardWriteAllocPin' ./internal/core/
+go test -race -count=1 -run 'TestWarmCQEReapZeroAlloc' ./internal/iouring/
+go test -race -count=1 -run 'TestRunSpawnsNoProcs' ./internal/fio/
 go test -race -count=1 -run 'TestObjectNameMemoPin|TestExtentsIntoBufferZeroAlloc' ./internal/rbd/
 go test -race -count=1 -run 'TestOSDSubmitAllocBound|TestShardKeyOneAlloc|TestClientSynchronousFailure|TestECReadStopsAtFailedShard|TestClientReplicatedAllocPin|TestRetryDriver' \
     ./internal/rados/
@@ -73,16 +77,20 @@ go test -race -count=1 -run 'TestResourceFIFOMixedWaiters|TestAcquireFuncRespect
 # from two shard workers) at GOMAXPROCS=1 and 4, plus the card write alloc
 # pin, which fills the image's lazy object-name memo. GOMAXPROCS may exceed
 # the CPU count, so this exercises the concurrent path on a 1-CPU box too.
+# The continuation-path pins ride along, so the no-procs, reap, close and
+# fio checks hold at either setting.
 echo "== window workers at GOMAXPROCS=1 and 4 =="
 for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestShard|TestEngineReserve|TestFreelistCap|TestHeapRandomOrder' \
         ./internal/sim/ ./internal/netsim/
     GOMAXPROCS=$procs go test -count=1 -run 'TestGoldenDigests' ./internal/experiments/
-    GOMAXPROCS=$procs go test -count=1 -run 'TestStageProfile|TestNoPerOpProcs|TestCardWriteAllocPin' ./internal/core/
+    GOMAXPROCS=$procs go test -count=1 -run 'TestStageProfile|TestNoPerOpProcs|TestSubmitAfterCloseFailsOnce|TestCardWriteAllocPin' ./internal/core/
+    GOMAXPROCS=$procs go test -count=1 -run 'TestWarmCQEReapZeroAlloc' ./internal/iouring/
+    GOMAXPROCS=$procs go test -count=1 -run 'TestRunSpawnsNoProcs' ./internal/fio/
 done
 
 # Write-back cache tier: the LSVD log/index/flush machinery runs a
-# background flusher goroutine-equivalent inside the simulation plus the
+# background flusher continuation inside the simulation plus the
 # parallel sweep cells, so race the package and the cache sweep explicitly;
 # the crash-recovery smoke pins the zero-acked-loss replay contract, and
 # the split-domain smoke drives the host-domain client + cache against

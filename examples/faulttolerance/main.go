@@ -1,5 +1,6 @@
 // Fault-tolerance example: exercises the functional data path end to end —
-// write real bytes through the RBD/rados stack into an erasure-coded pool,
+// write real bytes through the RBD mapping and the rados client, object
+// extent by object extent, into an erasure-coded pool,
 // fail two OSDs holding data shards, and read everything back intact via
 // Reed-Solomon reconstruction. Also shows CRUSH remapping a replicated
 // pool's placements around a failed device.
@@ -41,7 +42,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dev := rbd.NewDev(img, client)
 
 	const chunk = 16 * 1024
 	payloads := make([][]byte, 8)
@@ -55,7 +55,7 @@ func main() {
 	eng.Spawn("demo", func(p *sim.Proc) {
 		fmt.Println("writing 8 x 16 kB extents into the EC(4+2) image...")
 		for i, data := range payloads {
-			if err := dev.WriteAt(p, int64(i)*chunk, data); err != nil {
+			if err := writeAt(p, client, img, int64(i)*chunk, data); err != nil {
 				log.Fatalf("write %d: %v", i, err)
 			}
 		}
@@ -72,7 +72,7 @@ func main() {
 
 		fmt.Println("reading everything back (degraded, reconstructing)...")
 		for i, want := range payloads {
-			got, err := dev.ReadAt(p, int64(i)*chunk, chunk)
+			got, err := readAt(p, client, img, int64(i)*chunk, chunk)
 			if err != nil {
 				log.Fatalf("degraded read %d: %v", i, err)
 			}
@@ -103,6 +103,40 @@ func main() {
 	})
 	eng.Run()
 	fmt.Printf("simulation finished at t=%v\n", eng.Now())
+}
+
+// writeAt stores data at a virtual offset of the image, one rados write
+// per backing-object extent.
+func writeAt(p *sim.Proc, client *rados.Client, img *rbd.Image, off int64, data []byte) error {
+	exts, err := img.Extents(nil, off, len(data))
+	if err != nil {
+		return err
+	}
+	for _, e := range exts {
+		if err := client.Write(p, img.Pool, e.Object, e.Off, data[:e.Len]); err != nil {
+			return err
+		}
+		data = data[e.Len:]
+	}
+	return nil
+}
+
+// readAt returns n bytes at a virtual offset of the image, one rados read
+// per backing-object extent.
+func readAt(p *sim.Proc, client *rados.Client, img *rbd.Image, off int64, n int) ([]byte, error) {
+	exts, err := img.Extents(nil, off, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, n)
+	for _, e := range exts {
+		b, err := client.Read(p, img.Pool, e.Object, e.Off, e.Len)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b...)
+	}
+	return out, nil
 }
 
 func equalSets(a, b []int) bool {

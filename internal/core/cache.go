@@ -63,6 +63,15 @@ type cacheBackend struct {
 	client *rados.Client
 	image  *rbd.Image
 	pool   *rados.Pool
+
+	// The flusher has at most one FlushExtent outstanding: its extents,
+	// the next to write, its options and its completion, with the write
+	// callback bound once.
+	flushExts []rbd.Extent
+	flushNext int
+	flushOpts rados.ReqOpts
+	flushDone func(error)
+	wroteFn   func(error)
 }
 
 // ReadMiss sends a miss fill down the inner data path under the caller's
@@ -80,11 +89,33 @@ func (b *cacheBackend) ReadMiss(off int64, n int, tr trace.Ref, done func(error)
 	})
 }
 
-func (b *cacheBackend) FlushExtent(p *sim.Proc, off int64, n int, tr trace.Ref) error {
-	opts := rados.ReqOpts{Random: true, Trace: tr}
-	return b.image.VisitExtents(off, n, true, func(e rbd.Extent) error {
-		return b.client.WriteOpts(p, b.pool, e.Object, e.Off, rados.Zeros(e.Len), opts)
-	})
+// FlushExtent writes one live extent back through the flush client, one
+// backing-object extent after another under the flusher's own span; the
+// first error fails the flush.
+func (b *cacheBackend) FlushExtent(off int64, n int, tr trace.Ref, done func(error)) {
+	exts, err := b.image.Extents(b.flushExts[:0], off, n)
+	if err != nil {
+		done(err)
+		return
+	}
+	b.flushExts, b.flushNext = exts, 0
+	b.flushOpts = rados.ReqOpts{Random: true, Trace: tr}
+	b.flushDone = done
+	b.wrote(nil)
+}
+
+// wrote issues the flush's next extent, or completes the flush after the
+// last one or on the first error.
+func (b *cacheBackend) wrote(err error) {
+	if err != nil || b.flushNext == len(b.flushExts) {
+		done := b.flushDone
+		b.flushDone, b.flushOpts = nil, rados.ReqOpts{}
+		done(err)
+		return
+	}
+	e := b.flushExts[b.flushNext]
+	b.flushNext++
+	b.client.WriteAsync(b.pool, e.Object, e.Off, rados.Zeros(e.Len), b.flushOpts, b.wroteFn)
 }
 
 // buildCacheTarget wires the cache tier over a bare inner target: the
@@ -106,6 +137,7 @@ func (tb *Testbed) buildCacheTarget(s *pipelineStack, inner iouring.Target) (*ca
 	cfg.Verify = s.spec.CacheVerify
 	cfg.AdmitOnReuse = s.spec.CacheAdmit
 	be := &cacheBackend{inner: inner, client: flush, image: s.image, pool: s.pool}
+	be.wroteFn = be.wrote
 	cache, err := lsvd.New(tb.Eng, cfg, be)
 	if err != nil {
 		return nil, err

@@ -66,9 +66,6 @@ type Placement interface {
 	// Shell exposes the FPGA design hosting the kernels (nil for
 	// software placement).
 	Shell() *fpga.Shell
-	// SelectOn computes pg's placement in pool from a blocked host proc —
-	// DeLiBA-1's offload round trip — sleeping the kernel penalty in-line.
-	SelectOn(p *sim.Proc, pool *rados.Pool, pg uint32, tr trace.Ref) error
 }
 
 // FanoutLayer is the network path that carries replica/shard fan-out: the
@@ -99,39 +96,52 @@ func (h *uringHost) Close() { h.rs.close() }
 // DeLiBA-1 per-extent offload interleave.
 type nbdDatapath interface {
 	// hostCPU is extra daemon CPU charged with the NBD path cost in one
-	// fused Resource.Use (splitting it would change contention).
+	// fused daemon hold (splitting it would change contention).
 	hostCPU(op OpType, n int) sim.Duration
-	run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref) error
+	run(op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref, done func(error))
 }
 
 // nbdHost is the single-threaded NBD/user-space daemon loop shared by
 // DeLiBA-1/2: every request pays the legacy API crossings on one daemon
-// resource, sleeps the NBD socket round trip, then runs its datapath.
+// resource, waits out the NBD socket round trip, then runs its datapath.
+// The NBD stacks are not benchmarked, so each request's steps are plain
+// closures.
 type nbdHost struct {
-	tb       *Testbed
-	profile  legacyapi.CostProfile
-	daemon   *sim.Resource
-	procName string
-	path     nbdDatapath
+	tb      *Testbed
+	profile legacyapi.CostProfile
+	daemon  *sim.Resource
+	path    nbdDatapath
+	closed  bool
 }
 
 func (h *nbdHost) Submit(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, tr trace.Ref, done func(error)) {
-	h.tb.Eng.Spawn(h.procName, func(p *sim.Proc) {
+	if h.closed {
+		done(errStackClosed)
+		return
+	}
+	eng := h.tb.Eng
+	eng.Schedule(0, func() {
 		// The daemon is single-threaded, so its CPU time serializes
 		// across outstanding I/Os.
-		h.daemon.Use(p, 1, h.profile.PathCost(n)+h.path.hostCPU(op, n))
-		p.Sleep(h.tb.CM.NBDSocketRTT)
-		done(h.path.run(p, op, pattern, off, n, tenant, tr))
+		h.daemon.AcquireFunc(1, func() {
+			eng.Schedule(h.profile.PathCost(n)+h.path.hostCPU(op, n), func() {
+				h.daemon.Release(1)
+				eng.Schedule(h.tb.CM.NBDSocketRTT, func() {
+					h.path.run(op, pattern, off, n, tenant, tr, done)
+				})
+			})
+		})
 	})
 }
 
-func (h *nbdHost) Close() {}
+func (h *nbdHost) Close() { h.closed = true }
 
 // --- NBD datapaths -------------------------------------------------------
 
 // legacyCardPath is DeLiBA-2's datapath: legacy DMA to the card (payload
 // for writes, command for reads), the card pipeline, DMA back.
 type legacyCardPath struct {
+	eng     *sim.Engine
 	cm      CostModel
 	backend *cardBackend
 	trace   *trace.Sink
@@ -139,26 +149,27 @@ type legacyCardPath struct {
 
 func (dp *legacyCardPath) hostCPU(OpType, int) sim.Duration { return 0 }
 
-func (dp *legacyCardPath) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref) error {
+func (dp *legacyCardPath) run(op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref, done func(error)) {
 	// The transport span covers the full below-daemon round trip: H2C
 	// DMA, card residency, C2H DMA. Subtract the card stages to isolate
 	// the DMA path itself.
 	ht, tr := dp.trace.Open(tr, StageTransport)
-	h2c := rados.HdrBytes
+	h2c, c2h := rados.HdrBytes, rados.HdrBytes
 	if op == Write {
 		h2c = n
-	}
-	p.Sleep(dp.cm.LegacyDMACost + pcieTime(h2c))
-	err := blocking(p, func(cb func(error)) {
-		dp.backend.process(op, pattern, off, n, tenant, tr, cb)
-	})
-	c2h := rados.HdrBytes
-	if op == Read {
+	} else {
 		c2h = n
 	}
-	p.Sleep(dp.cm.LegacyDMACost + pcieTime(c2h))
-	ht.End()
-	return err
+	dp.eng.Schedule(dp.cm.LegacyDMACost+pcieTime(h2c), func() {
+		dp.eng.AwaitFunc(func(cb func(error)) {
+			dp.backend.process(op, pattern, off, n, tenant, tr, cb)
+		}, func(err error) {
+			dp.eng.Schedule(dp.cm.LegacyDMACost+pcieTime(c2h), func() {
+				ht.End()
+				done(err)
+			})
+		})
+	})
 }
 
 // clientPath is the software-baseline datapath: the user-space Ceph
@@ -178,24 +189,19 @@ func (dp *clientPath) hostCPU(op OpType, _ int) sim.Duration {
 	return dp.cm.D2SWLibraryWrite
 }
 
-func (dp *clientPath) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref) error {
+func (dp *clientPath) run(op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref, done func(error)) {
 	opts := rados.ReqOpts{Random: pattern == Rand, Tenant: tenant, Trace: tr}
-	// Block, not blocking: the daemon resumes inside the event that
-	// completes the last extent, with no completion hop.
-	var err error
-	p.Block(func(wake func()) {
-		clientExtents(dp.trace, dp.client, dp.image, dp.pool, op, off, n, false, opts, func(e error) {
-			err = e
-			wake()
-		})
-	})
-	return err
+	clientExtents(dp.trace, dp.client, dp.image, dp.pool, op, off, n, false, opts, done)
 }
 
 // clientExtents issues one software-client request per backing-object
 // extent of [off, off+n), one after another, each under its own fan-out
-// span, and calls done with the outcome; stopOnErr is
-// rbd.Image.VisitExtents's. done runs synchronously on a mapping error.
+// span, and calls done with the outcome. A mapping error fails the request
+// before any extent is issued; with stopOnErr the first extent error fails
+// it and skips the rest (how the kernel RBD target aborts a request),
+// otherwise every extent is issued and the first error is reported (how
+// the NBD daemons drain a request). done runs synchronously on a mapping
+// error.
 func clientExtents(sink *trace.Sink, client *rados.Client, image *rbd.Image, pool *rados.Pool,
 	op OpType, off int64, n int, stopOnErr bool, opts rados.ReqOpts, done func(error)) {
 	exts, err := image.Extents(nil, off, n)
@@ -239,10 +245,11 @@ func clientExtents(sink *trace.Sink, client *rados.Client, image *rbd.Image, poo
 // d1Path is DeLiBA-1's datapath: per extent, the payload and command
 // descriptors round-trip to the card for placement, then the HOST fans out
 // over its kernel TCP/IP stack on the same daemon thread (D1 had no FPGA
-// network stack).
+// network stack). Extents run one after another; every extent runs even
+// after one fails, and the first error is reported.
 type d1Path struct {
 	tb     *Testbed
-	place  Placement
+	place  *cardPlacement
 	fan    *Fanout
 	image  *rbd.Image
 	pool   *rados.Pool
@@ -252,47 +259,85 @@ type d1Path struct {
 
 func (dp *d1Path) hostCPU(OpType, int) sim.Duration { return 0 }
 
-func (dp *d1Path) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref) error {
-	cm := dp.tb.CM
+func (dp *d1Path) run(op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref, done func(error)) {
+	exts, err := dp.image.Extents(nil, off, n)
+	if err != nil {
+		done(err)
+		return
+	}
 	opts := rados.ReqOpts{Random: pattern == Rand, Tenant: tenant, Trace: tr}
-	return dp.image.VisitExtents(off, n, false, func(e rbd.Extent) error {
-		// The payload crosses to the card (the storage accelerators hash
-		// over the data) and back, since D1's network path is on the
-		// host; then a second round trip for the command descriptors.
-		ht := dp.trace.Begin(tr, StageTransport)
-		p.Sleep(2 * (cm.LegacyDMACost + pcieTime(e.Len)))
-		p.Sleep(2 * (cm.LegacyDMACost + pcieTime(rados.HdrBytes)))
-		ht.End()
-		pg := dp.tb.Cluster.PGOf(dp.pool, e.Object)
-		if err := dp.place.SelectOn(p, dp.pool, pg, tr); err != nil {
-			return err
+	var firstErr error
+	var visit func(i int)
+	visit = func(i int) {
+		if i == len(exts) {
+			done(firstErr)
+			return
 		}
-		// Host-side fan-out over the kernel TCP/IP stack: one sendmsg
-		// per replica and one recvmsg per ack, each a syscall + context
-		// switch, then an interrupt-driven completion wakeup — all on
-		// the single daemon thread.
-		msgs := dp.pool.Width()
-		if op == Read {
-			msgs = 1
-		}
-		dp.daemon.Use(p, 1,
-			sim.Duration(2*msgs)*(cm.D1Host.SyscallCost+cm.D1Host.ContextSwitchCost)+
-				sim.Duration(msgs)*cm.D1NetWakeup)
-		hf, ftr := dp.trace.Open(tr, StageFanout)
-		eopts := opts
-		eopts.Trace = ftr
-		var ferr error
-		if op == Write {
-			ferr = blocking(p, func(cb func(error)) {
-				dp.fan.WriteReplicated(dp.pool, e.Object, e.Off, e.Len, eopts, cb)
+		dp.extent(op, exts[i], opts, func(err error) {
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			visit(i + 1)
+		})
+	}
+	visit(0)
+}
+
+// extent runs one extent: the two legacy DMA round trips, placement on the
+// card (plus the HLS penalty), the daemon's socket work, then the host
+// fan-out.
+func (dp *d1Path) extent(op OpType, e rbd.Extent, opts rados.ReqOpts, done func(error)) {
+	eng, cm, tr := dp.tb.Eng, dp.tb.CM, opts.Trace
+	// The payload crosses to the card (the storage accelerators hash over
+	// the data) and back, since D1's network path is on the host; then a
+	// second round trip for the command descriptors.
+	ht := dp.trace.Begin(tr, StageTransport)
+	eng.Schedule(2*(cm.LegacyDMACost+pcieTime(e.Len)), func() {
+		eng.Schedule(2*(cm.LegacyDMACost+pcieTime(rados.HdrBytes)), func() {
+			ht.End()
+			pg := dp.tb.Cluster.PGOf(dp.pool, e.Object)
+			dp.place.Select(dp.pool, pg, tr, func(_ []int, penalty sim.Duration, err error) {
+				switch {
+				case err != nil:
+					done(err)
+				case dp.place.kind == PlacementHLS:
+					eng.Schedule(penalty, func() { dp.fanOut(op, e, opts, done) })
+				default:
+					dp.fanOut(op, e, opts, done)
+				}
 			})
-		} else {
-			ferr = blocking(p, func(cb func(error)) {
-				dp.fan.ReadReplicated(dp.pool, e.Object, e.Off, e.Len, eopts, cb)
+		})
+	})
+}
+
+// fanOut is the host-side fan-out over the kernel TCP/IP stack: one
+// sendmsg per replica and one recvmsg per ack, each a syscall + context
+// switch, then an interrupt-driven completion wakeup — all on the single
+// daemon thread — and then the replicated request itself.
+func (dp *d1Path) fanOut(op OpType, e rbd.Extent, opts rados.ReqOpts, done func(error)) {
+	eng, cm := dp.tb.Eng, dp.tb.CM
+	msgs := dp.pool.Width()
+	if op == Read {
+		msgs = 1
+	}
+	dp.daemon.AcquireFunc(1, func() {
+		eng.Schedule(sim.Duration(2*msgs)*(cm.D1Host.SyscallCost+cm.D1Host.ContextSwitchCost)+
+			sim.Duration(msgs)*cm.D1NetWakeup, func() {
+			dp.daemon.Release(1)
+			hf, ftr := dp.trace.Open(opts.Trace, StageFanout)
+			eopts := opts
+			eopts.Trace = ftr
+			eng.AwaitFunc(func(cb func(error)) {
+				if op == Write {
+					dp.fan.WriteReplicated(dp.pool, e.Object, e.Off, e.Len, eopts, cb)
+				} else {
+					dp.fan.ReadReplicated(dp.pool, e.Object, e.Off, e.Len, eopts, cb)
+				}
+			}, func(err error) {
+				hf.End()
+				done(err)
 			})
-		}
-		hf.End()
-		return ferr
+		})
 	})
 }
 
@@ -381,29 +426,12 @@ func (pl *cardPlacement) Select(pool *rados.Pool, pg uint32, tr trace.Ref, cont 
 	})
 }
 
-func (pl *cardPlacement) SelectOn(p *sim.Proc, pool *rados.Pool, pg uint32, tr trace.Ref) error {
-	var penalty sim.Duration
-	var err error
-	p.Block(func(wake func()) {
-		pl.Select(pool, pg, tr, func(_ []int, d sim.Duration, e error) {
-			penalty, err = d, e
-			wake()
-		})
-	})
-	if err != nil || pl.kind != PlacementHLS {
-		return err
-	}
-	p.Sleep(penalty)
-	return nil
-}
-
 // swPlacement marks placement as computed inside the software client (its
 // request cost embeds SWPlacement); nothing runs on a card.
 type swPlacement struct{}
 
-func (swPlacement) Kind() PlacementKind                                      { return PlacementSoftware }
-func (swPlacement) Shell() *fpga.Shell                                       { return nil }
-func (swPlacement) SelectOn(*sim.Proc, *rados.Pool, uint32, trace.Ref) error { return nil }
+func (swPlacement) Kind() PlacementKind { return PlacementSoftware }
+func (swPlacement) Shell() *fpga.Shell  { return nil }
 
 // --- fan-out layers ------------------------------------------------------
 
@@ -788,11 +816,10 @@ func (tb *Testbed) buildNBDCard(s *pipelineStack) error {
 	s.block = noBlock{}
 	s.transport = legacyDMA{}
 	s.host = &nbdHost{
-		tb:       tb,
-		profile:  tb.CM.D2Host,
-		daemon:   tb.Eng.NewResource(1),
-		procName: "d2hw-io",
-		path:     &legacyCardPath{cm: tb.CM, backend: backend, trace: tb.traceHost},
+		tb:      tb,
+		profile: tb.CM.D2Host,
+		daemon:  tb.Eng.NewResource(1),
+		path:    &legacyCardPath{eng: tb.Eng, cm: tb.CM, backend: backend, trace: tb.traceHost},
 	}
 	return nil
 }
@@ -808,18 +835,18 @@ func (tb *Testbed) buildNBDOffload(s *pipelineStack) error {
 	if err != nil {
 		return err
 	}
-	s.placement = &cardPlacement{kind: s.spec.Placement, shell: shell, cluster: tb.Cluster, scale: tb.CM.HLSLatencyScale, trace: tb.traceHost}
+	place := &cardPlacement{kind: s.spec.Placement, shell: shell, cluster: tb.Cluster, scale: tb.CM.HLSLatencyScale, trace: tb.traceHost}
+	s.placement = place
 	fan := &Fanout{Cluster: tb.Cluster, From: hostNIC, Retry: tb.Res.retryPolicy(), Trace: tb.traceHost}
 	s.fanout = &hostFanout{fan: fan}
 	s.block = noBlock{}
 	s.transport = legacyDMA{}
 	daemon := tb.Eng.NewResource(1)
 	s.host = &nbdHost{
-		tb:       tb,
-		profile:  tb.CM.D1Host,
-		daemon:   daemon,
-		procName: "d1hw-io",
-		path: &d1Path{tb: tb, place: s.placement, fan: fan, image: s.image,
+		tb:      tb,
+		profile: tb.CM.D1Host,
+		daemon:  daemon,
+		path: &d1Path{tb: tb, place: place, fan: fan, image: s.image,
 			pool: s.pool, daemon: daemon, trace: tb.traceHost},
 	}
 	return nil
@@ -837,10 +864,9 @@ func (tb *Testbed) buildNBDClient(s *pipelineStack) error {
 	s.placement = swPlacement{}
 	s.fanout = &clientFanout{client: client}
 	s.host = &nbdHost{
-		tb:       tb,
-		profile:  tb.CM.D2Host,
-		daemon:   tb.Eng.NewResource(1),
-		procName: "d2sw-io",
+		tb:      tb,
+		profile: tb.CM.D2Host,
+		daemon:  tb.Eng.NewResource(1),
 		path: &clientPath{cm: tb.CM, client: client, image: s.image,
 			pool: s.pool, trace: tb.traceHost},
 	}

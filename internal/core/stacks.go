@@ -43,17 +43,37 @@ func errIO(res int32) error {
 	return nil
 }
 
-// ringSet manages the io_uring instances with per-ring completion callback
-// registries and reaper procs. It is shared by every io_uring host API;
-// compositions differ only in the ring Target.
+// errStackClosed fails a submission made after the stack's Close.
+var errStackClosed = errors.New("core: stack closed")
+
+// ringSet manages the io_uring instances, one ringQ each. It is shared by
+// every io_uring host API; compositions differ only in the ring Target.
 type ringSet struct {
-	eng       *sim.Engine
-	rng       *sim.RNG
-	rings     []*iouring.Ring
-	callbacks []map[uint64]func(error)
-	nextUD    []uint64
+	eng   *sim.Engine
+	rng   *sim.RNG
+	rings []*iouring.Ring
+	qs    []*ringQ
+	// closed fails every later submission, including SQ-full retries
+	// still backing off when Close ran.
+	closed bool
 	// trace records SQ-full backoff spans for traced ops (nil = off).
 	trace *trace.Sink
+}
+
+// ringQ is the application side of one ring: the completion callbacks by
+// user data and the reaper that runs them. The reaper is a continuation
+// bound once: it drains the CQ, then re-arms a one-shot CQ wake, so no
+// thread waits on a ring.
+type ringQ struct {
+	eng       *sim.Engine
+	ring      *iouring.Ring
+	callbacks map[uint64]func(error)
+	nextUD    uint64
+	// wakeup is the interrupt-mode wake cost paid before each drain; 0
+	// in polled modes.
+	wakeup sim.Duration
+
+	reapFn, wakeFn, enterFn func()
 }
 
 func newRingSet(tb *Testbed, spec StackSpec, target iouring.Target) (*ringSet, error) {
@@ -74,29 +94,45 @@ func newRingSet(tb *Testbed, spec StackSpec, target iouring.Target) (*ringSet, e
 		if err != nil {
 			return nil, err
 		}
+		q := &ringQ{eng: tb.Eng, ring: ring, callbacks: make(map[uint64]func(error)), nextUD: 1}
+		if mode == iouring.InterruptMode {
+			q.wakeup = ring.Params().WakeupCost
+		}
+		q.reapFn, q.wakeFn = q.reap, q.wake
+		q.enterFn = func() { ring.Submit(nil) }
 		rs.rings = append(rs.rings, ring)
-		rs.callbacks = append(rs.callbacks, make(map[uint64]func(error)))
-		rs.nextUD = append(rs.nextUD, 1)
-		idx := i
-		tb.Eng.Spawn(fmt.Sprintf("dk-reaper-%d", i), func(p *sim.Proc) {
-			rs.reap(p, idx)
-		})
+		rs.qs = append(rs.qs, q)
+		tb.Eng.Schedule(0, q.reapFn)
 	}
 	return rs, nil
 }
 
-func (rs *ringSet) reap(p *sim.Proc, idx int) {
+// wake runs when the ring posts a completion (or closes); interrupt mode
+// pays the wakeup before the drain.
+func (q *ringQ) wake() {
+	if q.wakeup > 0 {
+		q.eng.Schedule(q.wakeup, q.reapFn)
+		return
+	}
+	q.reap()
+}
+
+// reap drains the CQ, completing each CQE's callback, then re-arms the
+// wake; on a closed ring with nothing in flight it arms nothing and the
+// reaper ends.
+func (q *ringQ) reap() {
 	for {
-		cqe, err := rs.rings[idx].WaitCQE(p)
-		if err != nil {
-			return
+		cqe, ok := q.ring.PeekCQE()
+		if !ok {
+			break
 		}
-		cb := rs.callbacks[idx][cqe.UserData]
-		delete(rs.callbacks[idx], cqe.UserData)
+		cb := q.callbacks[cqe.UserData]
+		delete(q.callbacks, cqe.UserData)
 		if cb != nil {
 			cb(errIO(cqe.Res))
 		}
 	}
+	q.ring.NotifyCQE(q.wakeFn)
 }
 
 // submit queues one SQE on the cpu's ring; if the SQ is momentarily full
@@ -109,8 +145,12 @@ func (rs *ringSet) submit(op OpType, pattern Pattern, off int64, n int, cpu, ten
 // (-1 = none yet), so a successful queue after backing off can record
 // one "sq-backoff" span covering the whole retry run.
 func (rs *ringSet) submitBackoff(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, tr trace.Ref, backoffStart sim.Time, done func(error)) {
-	idx := cpu % len(rs.rings)
-	sqe := rs.rings[idx].GetSQE()
+	if rs.closed {
+		done(errStackClosed)
+		return
+	}
+	q := rs.qs[cpu%len(rs.qs)]
+	sqe := q.ring.GetSQE()
 	if sqe == nil {
 		if backoffStart < 0 {
 			backoffStart = rs.eng.Now()
@@ -136,20 +176,19 @@ func (rs *ringSet) submitBackoff(op OpType, pattern Pattern, off int64, n int, c
 	if pattern == Rand {
 		sqe.RWFlags = blockmq.FlagRandom
 	}
-	ud := rs.nextUD[idx]
-	rs.nextUD[idx]++
+	ud := q.nextUD
+	q.nextUD++
 	sqe.UserData = ud
-	rs.callbacks[idx][ud] = done
-	if rs.rings[idx].Params().Mode != iouring.SQPollMode {
-		// Without the kernel poller the application must enter; model the
-		// submitting thread with a short-lived proc.
-		rs.eng.Spawn("enter", func(p *sim.Proc) {
-			rs.rings[idx].Submit(p)
-		})
+	q.callbacks[ud] = done
+	if q.ring.Params().Mode != iouring.SQPollMode {
+		// Without the kernel poller the submitting thread enters the
+		// ring itself, one event later.
+		rs.eng.Schedule(0, q.enterFn)
 	}
 }
 
 func (rs *ringSet) close() {
+	rs.closed = true
 	for _, r := range rs.rings {
 		r.Close()
 	}

@@ -145,10 +145,7 @@ func Run(eng *sim.Engine, stack core.Stack, spec JobSpec) (*Result, error) {
 	}
 	start := eng.Now()
 	for j := 0; j < spec.Jobs; j++ {
-		j := j
-		eng.Spawn(fmt.Sprintf("fio-%s-j%d", spec.Name, j), func(p *sim.Proc) {
-			runWorker(p, stack, spec, j, res)
-		})
+		startWorker(eng, stack, spec, j, res)
 	}
 	eng.Run()
 	res.Elapsed = eng.Now().Sub(start)
@@ -187,10 +184,61 @@ func validate(spec *JobSpec, stack core.Stack) error {
 	return nil
 }
 
-// runWorker issues RampOps+Ops operations keeping at most QueueDepth in
-// flight, using a sim.Resource as the depth window.
-func runWorker(p *sim.Proc, stack core.Stack, spec JobSpec, job int, res *Result) {
-	eng := p.Engine()
+// closedLoop is one worker's issue loop as a continuation: it issues ops
+// while its depth window has a free unit, parks on the window's FIFO queue
+// when it is full, and waits out the think time between ops. Each op's
+// completion must release the unit it holds.
+type closedLoop struct {
+	eng    *sim.Engine
+	window *sim.Resource
+	next   int // index of the next op to issue
+	total  int
+	think  sim.Duration
+	issue  func(i int)
+
+	runFn, resumeFn func()
+}
+
+// startLoop starts a closed loop of total ops one event from now.
+func startLoop(eng *sim.Engine, window *sim.Resource, total int, think sim.Duration, issue func(i int)) {
+	l := &closedLoop{eng: eng, window: window, total: total, think: think, issue: issue}
+	l.runFn, l.resumeFn = l.run, l.resume
+	eng.Schedule(0, l.runFn)
+}
+
+func (l *closedLoop) run() {
+	for l.next < l.total && l.window.TryAcquire(1) {
+		if !l.step() {
+			return
+		}
+	}
+	if l.next < l.total {
+		l.window.AcquireFunc(1, l.resumeFn)
+	}
+}
+
+// resume runs once the parked worker holds its unit.
+func (l *closedLoop) resume() {
+	if l.step() {
+		l.run()
+	}
+}
+
+// step issues one op; it reports false when think time defers the next.
+func (l *closedLoop) step() bool {
+	i := l.next
+	l.next++
+	l.issue(i)
+	if l.think > 0 {
+		l.eng.Schedule(l.think, l.runFn)
+		return false
+	}
+	return true
+}
+
+// startWorker starts a worker that issues RampOps+Ops operations keeping
+// at most QueueDepth in flight, using a sim.Resource as the depth window.
+func startWorker(eng *sim.Engine, stack core.Stack, spec JobSpec, job int, res *Result) {
 	window := eng.NewResource(spec.QueueDepth)
 	rng := sim.NewRNG(spec.Seed*2654435761 + uint64(job)*0x9e3779b9)
 
@@ -216,12 +264,8 @@ func runWorker(p *sim.Proc, stack core.Stack, spec JobSpec, job int, res *Result
 	if spec.ZipfTheta > 0 && spec.HotOpPct == 0 {
 		zipf = sim.NewZipf(blocks, spec.ZipfTheta)
 	}
-	total := spec.RampOps + spec.Ops
-	allDone := eng.NewCompletion()
-	outstanding := total
 
-	for i := 0; i < total; i++ {
-		window.Acquire(p, 1)
+	startLoop(eng, window, spec.RampOps+spec.Ops, spec.ThinkTime, func(i int) {
 		measured := i >= spec.RampOps
 
 		var off int64
@@ -264,28 +308,21 @@ func runWorker(p *sim.Proc, stack core.Stack, spec JobSpec, job int, res *Result
 		issued := eng.Now()
 		stack.Submit(op, spec.Pattern, off, size, job, func(err error) {
 			window.Release(1)
-			if measured {
-				lat := eng.Now().Sub(issued)
-				res.Lat.Record(lat)
-				if op == core.Read {
-					res.ReadLat.Record(lat)
-				} else {
-					res.WriteLat.Record(lat)
-				}
-				if err != nil {
-					res.Errors++
-				} else {
-					res.Meter.Add(eng.Now(), size)
-				}
+			if !measured {
+				return
 			}
-			outstanding--
-			if outstanding == 0 {
-				allDone.Complete(nil, nil)
+			lat := eng.Now().Sub(issued)
+			res.Lat.Record(lat)
+			if op == core.Read {
+				res.ReadLat.Record(lat)
+			} else {
+				res.WriteLat.Record(lat)
+			}
+			if err != nil {
+				res.Errors++
+			} else {
+				res.Meter.Add(eng.Now(), size)
 			}
 		})
-		if spec.ThinkTime > 0 {
-			p.Sleep(spec.ThinkTime)
-		}
-	}
-	p.Await(allDone)
+	})
 }

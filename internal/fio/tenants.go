@@ -140,15 +140,10 @@ func RunTenants(eng *sim.Engine, stack core.Stack, spec TenantJob) (*TenantResul
 	submit := tenantSubmitter(stack)
 	start := eng.Now()
 	for j := 0; j < spec.Job.Jobs; j++ {
-		j := j
-		eng.Spawn(fmt.Sprintf("fio-tenant-%s-j%d", spec.Job.Name, j), func(p *sim.Proc) {
-			runTenantWorker(p, submit, spec, j, run)
-		})
+		startTenantWorker(eng, submit, spec, j, run)
 	}
 	if spec.Hog != 0 {
-		eng.Spawn(fmt.Sprintf("fio-hog-%s", spec.Job.Name), func(p *sim.Proc) {
-			runHogWorker(p, submit, spec, run)
-		})
+		startHogWorker(eng, submit, spec, run)
 	}
 	eng.Run()
 	tr.Base.Elapsed = eng.Now().Sub(start)
@@ -237,11 +232,10 @@ func (d *tenantDraw) next(rng *sim.RNG) int {
 	return id
 }
 
-// runTenantWorker is runWorker with a per-op tenant draw and per-tenant
-// recording; the offset/op-mix machinery matches the untenanted worker so a
-// single-tenant TenantJob reproduces Run's access stream shape.
-func runTenantWorker(p *sim.Proc, submit func(core.OpType, core.Pattern, int64, int, int, int, func(error)), spec TenantJob, job int, run *tenantRun) {
-	eng := p.Engine()
+// startTenantWorker is startWorker with a per-op tenant draw and
+// per-tenant recording; the offset/op-mix machinery matches the untenanted
+// worker so a single-tenant TenantJob reproduces Run's access stream shape.
+func startTenantWorker(eng *sim.Engine, submit func(core.OpType, core.Pattern, int64, int, int, int, func(error)), spec TenantJob, job int, run *tenantRun) {
 	tr := run.res
 	js := spec.Job
 	window := eng.NewResource(js.QueueDepth)
@@ -261,12 +255,8 @@ func runTenantWorker(p *sim.Proc, submit func(core.OpType, core.Pattern, int64, 
 	if js.ZipfTheta > 0 {
 		zipf = sim.NewZipf(blocks, js.ZipfTheta)
 	}
-	total := js.RampOps + js.Ops
-	allDone := eng.NewCompletion()
-	outstanding := total
 
-	for i := 0; i < total; i++ {
-		window.Acquire(p, 1)
+	startLoop(eng, window, js.RampOps+js.Ops, js.ThinkTime, func(i int) {
 		measured := i >= js.RampOps
 		tenant := draw.next(rng)
 
@@ -303,38 +293,30 @@ func runTenantWorker(p *sim.Proc, submit func(core.OpType, core.Pattern, int64, 
 			window.Release(1)
 			run.charge(tenant, size)
 			run.victimLeft--
-			if measured {
-				lat := eng.Now().Sub(issued)
-				tr.Base.Lat.Record(lat)
-				tr.PerTenant.Record(tenant, lat)
-				if op == core.Read {
-					tr.Base.ReadLat.Record(lat)
-				} else {
-					tr.Base.WriteLat.Record(lat)
-				}
-				if err != nil {
-					tr.Base.Errors++
-				} else {
-					tr.Base.Meter.Add(eng.Now(), size)
-				}
+			if !measured {
+				return
 			}
-			outstanding--
-			if outstanding == 0 {
-				allDone.Complete(nil, nil)
+			lat := eng.Now().Sub(issued)
+			tr.Base.Lat.Record(lat)
+			tr.PerTenant.Record(tenant, lat)
+			if op == core.Read {
+				tr.Base.ReadLat.Record(lat)
+			} else {
+				tr.Base.WriteLat.Record(lat)
+			}
+			if err != nil {
+				tr.Base.Errors++
+			} else {
+				tr.Base.Meter.Add(eng.Now(), size)
 			}
 		})
-		if js.ThinkTime > 0 {
-			p.Sleep(js.ThinkTime)
-		}
-	}
-	p.Await(allDone)
+	})
 }
 
-// runHogWorker is the noisy neighbor: one tenant, deep queue, uniform
-// random traffic over the whole range. Its latencies land only in the
-// per-tenant set; the victim aggregate excludes it.
-func runHogWorker(p *sim.Proc, submit func(core.OpType, core.Pattern, int64, int, int, int, func(error)), spec TenantJob, run *tenantRun) {
-	eng := p.Engine()
+// startHogWorker starts the noisy neighbor: one tenant, deep queue,
+// uniform random traffic over the whole range. Its latencies land only in
+// the per-tenant set; the victim aggregate excludes it.
+func startHogWorker(eng *sim.Engine, submit func(core.OpType, core.Pattern, int64, int, int, int, func(error)), spec TenantJob, run *tenantRun) {
 	tr := run.res
 	js := spec.Job
 	window := eng.NewResource(spec.HogDepth)
@@ -344,11 +326,8 @@ func runHogWorker(p *sim.Proc, submit func(core.OpType, core.Pattern, int64, int
 		blocks = 1
 	}
 	cpu := js.Jobs // the core after the victim workers
-	allDone := eng.NewCompletion()
-	outstanding := spec.HogOps
 
-	for i := 0; i < spec.HogOps; i++ {
-		window.Acquire(p, 1)
+	startLoop(eng, window, spec.HogOps, 0, func(int) {
 		off := rng.Int63n(blocks) * int64(spec.HogBlockSize)
 		op := core.Write
 		if js.ReadPct == 100 || (js.ReadPct > 0 && rng.Intn(100) < js.ReadPct) {
@@ -359,11 +338,6 @@ func runHogWorker(p *sim.Proc, submit func(core.OpType, core.Pattern, int64, int
 			window.Release(1)
 			run.charge(spec.Hog, spec.HogBlockSize)
 			tr.PerTenant.Record(spec.Hog, eng.Now().Sub(issued))
-			outstanding--
-			if outstanding == 0 {
-				allDone.Complete(nil, nil)
-			}
 		})
-	}
-	p.Await(allDone)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func runTenantSpec(t *testing.T, qos core.QoSKind, spec TenantJob) *TenantResult {
@@ -133,5 +134,52 @@ func TestQoSShapesHogNotVictims(t *testing.T) {
 	if dmc.Fairness <= none.Fairness {
 		t.Errorf("dmclock fairness %.3f not above unscheduled %.3f",
 			dmc.Fairness, none.Fairness)
+	}
+}
+
+// TestRunSpawnsNoProcs pins the workload generator's concurrency model:
+// Run's workers (think time included) and RunTenants' victim and hog
+// workers are continuations on their depth windows, so a whole run spawns
+// no Proc.
+func TestRunSpawnsNoProcs(t *testing.T) {
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err := tb.NewStack(core.StackDKHW, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(tb.Eng, stack, JobSpec{
+		Name: "procs", ReadPct: 50, Pattern: core.Rand, BlockSize: 4096,
+		QueueDepth: 4, Jobs: 2, Ops: 60, RampOps: 5, ThinkTime: 2 * sim.Microsecond, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Lat.Count(); got != 120 {
+		t.Fatalf("measured ops = %d, want 120", got)
+	}
+	if got := tb.Eng.Spawned(); got != 0 {
+		t.Errorf("Run spawned %d procs, want 0", got)
+	}
+
+	tb, err = core.NewTestbed(core.DefaultTestbedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err = tb.NewStack(core.StackDKHW, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tres, err := RunTenants(tb.Eng, stack, tenantSmokeJob(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tres.Base.Lat.Count(); got != 240 {
+		t.Fatalf("measured victim ops = %d, want 240", got)
+	}
+	if got := tb.Eng.Spawned(); got != 0 {
+		t.Errorf("RunTenants spawned %d procs, want 0", got)
 	}
 }

@@ -25,9 +25,9 @@ func BenchmarkSubmitCompleteBatch32(b *testing.B) {
 				sqe.Op = OpNop
 				sqe.UserData = uint64(j)
 			}
-			r.Submit(p)
+			submitP(p, r)
 			for j := 0; j < 32; j++ {
-				r.WaitCQE(p)
+				waitCQE(p, r)
 			}
 		})
 		eng.Run()
@@ -44,7 +44,7 @@ func BenchmarkSQPollPickup(b *testing.B) {
 	reaped := 0
 	eng.Spawn("reaper", func(p *sim.Proc) {
 		for {
-			if _, err := r.WaitCQE(p); err != nil {
+			if _, err := waitCQE(p, r); err != nil {
 				return
 			}
 			reaped++

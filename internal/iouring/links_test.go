@@ -46,9 +46,9 @@ func TestLinkedChainExecutesSequentially(t *testing.T) {
 				sqe.Flags = FlagIOLink
 			}
 		}
-		r.Submit(p)
+		submitP(p, r)
 		for i := 0; i < 3; i++ {
-			cqe, err := r.WaitCQE(p)
+			cqe, err := waitCQE(p, r)
 			if err != nil {
 				t.Error(err)
 				return
@@ -104,9 +104,9 @@ func TestLinkedChainFailureCancelsRest(t *testing.T) {
 				sqe.Flags = FlagIOLink
 			}
 		}
-		r.Submit(p)
+		submitP(p, r)
 		for i := 0; i < 4; i++ {
-			cqe, err := r.WaitCQE(p)
+			cqe, err := waitCQE(p, r)
 			if err != nil {
 				t.Error(err)
 				return
@@ -159,9 +159,9 @@ func TestDrainBarrierWaitsForInflight(t *testing.T) {
 		fs.Off = 99
 		fs.UserData = 99
 		fs.Flags = FlagIODrain
-		r.Submit(p)
+		submitP(p, r)
 		for i := 0; i < 3; i++ {
-			if _, err := r.WaitCQE(p); err != nil {
+			if _, err := waitCQE(p, r); err != nil {
 				t.Error(err)
 				return
 			}
@@ -220,9 +220,9 @@ func TestRegisterBuffers(t *testing.T) {
 		c.Len = 8192
 		c.BufIndex = 0
 		c.UserData = 3
-		r.Submit(p)
+		submitP(p, r)
 		for i := 0; i < 3; i++ {
-			cqe, err := r.WaitCQE(p)
+			cqe, err := waitCQE(p, r)
 			if err != nil {
 				t.Error(err)
 				return
@@ -299,7 +299,7 @@ func TestLinkedChainSpansSQPollBatches(t *testing.T) {
 				sqe.Len = 512
 				sqe.UserData = 2
 				for i := 0; i < 3; i++ {
-					cqe, err := r.WaitCQE(p)
+					cqe, err := waitCQE(p, r)
 					if err != nil {
 						t.Error(err)
 						return
@@ -366,7 +366,7 @@ func TestLinkedChainTruncatesAtSubmitBoundary(t *testing.T) {
 			sqe.UserData = uint64(i)
 			sqe.Flags = FlagIOLink
 		}
-		if _, err := r.Submit(p); err != nil {
+		if _, err := submitP(p, r); err != nil {
 			t.Error(err)
 			return
 		}
@@ -377,12 +377,12 @@ func TestLinkedChainTruncatesAtSubmitBoundary(t *testing.T) {
 		sqe.Off = 2
 		sqe.Len = 512
 		sqe.UserData = 2
-		if _, err := r.Submit(p); err != nil {
+		if _, err := submitP(p, r); err != nil {
 			t.Error(err)
 			return
 		}
 		for i := 0; i < 3; i++ {
-			cqe, err := r.WaitCQE(p)
+			cqe, err := waitCQE(p, r)
 			if err != nil {
 				t.Error(err)
 				return

@@ -227,7 +227,7 @@ type Ring struct {
 	cqTail    uint32
 	cqMask    uint32
 
-	// cqWaiters are procs blocked in WaitCQE.
+	// cqWaiters are the one-shot wakes armed by NotifyCQE.
 	cqWaiters []func()
 
 	pollerArmed bool
@@ -358,8 +358,8 @@ func (r *Ring) validateBufIndex(sqe SQE) int32 {
 
 // Close stops the ring; pending completions still drain but new
 // submissions fail. A link chain parked by the SQPOLL poller (its tail
-// never published) dispatches truncated, and blocked CQ waiters are woken
-// so reaper loops can exit.
+// never published) dispatches truncated, and armed CQ wakes fire so
+// reapers can exit.
 func (r *Ring) Close() {
 	r.closed = true
 	if r.chain != nil {
@@ -367,31 +367,32 @@ func (r *Ring) Close() {
 		r.chain = nil
 		r.dispatchChain(chain)
 	}
-	ws := r.cqWaiters
-	r.cqWaiters = nil
-	for _, w := range ws {
-		r.eng.Schedule(0, w)
-	}
+	r.wakeCQ()
 }
 
 // Submit pushes all queued SQEs to the kernel (io_uring_enter with
-// to_submit = pending). In SQPOLL mode there is no syscall: the poller owns
-// submission and Submit only reports what is pending.
-func (r *Ring) Submit(p *sim.Proc) (int, error) {
-	if r.closed {
-		return 0, ErrRingClosed
+// to_submit = pending) and calls done, if non-nil, with the count once the
+// enter returns. In SQPOLL mode there is no syscall: the poller owns
+// submission, and done gets the pending count at once. On a closed ring
+// done gets ErrRingClosed at once.
+func (r *Ring) Submit(done func(n int, err error)) {
+	if done == nil {
+		done = func(int, error) {}
 	}
-	if r.params.Mode == SQPollMode {
-		return r.SQPending(), nil
+	if r.closed {
+		done(0, ErrRingClosed)
+		return
 	}
 	n := r.SQPending()
-	if n == 0 {
-		return 0, nil
+	if r.params.Mode == SQPollMode || n == 0 {
+		done(n, nil)
+		return
 	}
 	r.enters++
-	p.Sleep(r.params.SyscallCost + sim.Duration(n)*r.params.PerSQECost)
-	r.drainSQ(n, true)
-	return n, nil
+	r.eng.Schedule(r.params.SyscallCost+sim.Duration(n)*r.params.PerSQECost, func() {
+		r.drainSQ(n, true)
+		done(n, nil)
+	})
 }
 
 // armPoller schedules an SQPOLL pickup if one is not already pending.
@@ -546,11 +547,17 @@ func (r *Ring) postCQE(cqe CQE) {
 	}
 	r.cqEntries[r.cqTail&r.cqMask] = cqe
 	r.cqTail++
-	ws := r.cqWaiters
-	r.cqWaiters = nil
-	for _, w := range ws {
+	r.wakeCQ()
+}
+
+// wakeCQ schedules every armed CQ wake. Schedule never runs a callback
+// inline, so the waiter slice is reused for the next arming.
+func (r *Ring) wakeCQ() {
+	for i, w := range r.cqWaiters {
 		r.eng.Schedule(0, w)
+		r.cqWaiters[i] = nil
 	}
+	r.cqWaiters = r.cqWaiters[:0]
 }
 
 // PeekCQE reaps one completion without blocking (kernel-polled read of the
@@ -565,23 +572,37 @@ func (r *Ring) PeekCQE() (CQE, bool) {
 	return cqe, true
 }
 
-// WaitCQE blocks the proc until a completion is available and reaps it.
-// Interrupt mode pays the wakeup cost; polled/SQPOLL modes observe the CQE
-// as soon as it is posted (the model folds the poll loop into zero cost
-// because the polling core does no other useful work).
-func (r *Ring) WaitCQE(p *sim.Proc) (CQE, error) {
-	for {
-		if cqe, ok := r.PeekCQE(); ok {
-			return cqe, nil
-		}
-		if r.closed && r.inFlight == 0 {
-			return CQE{}, ErrRingClosed
-		}
-		p.Block(func(wake func()) {
-			r.cqWaiters = append(r.cqWaiters, wake)
-		})
-		if r.params.Mode == InterruptMode {
-			p.Sleep(r.params.WakeupCost)
-		}
+// NotifyCQE arms fn to run once, as its own event, after the next CQE is
+// posted or the ring is closed: the one-shot wake a reaper re-arms after
+// draining the CQ with PeekCQE. It charges no wakeup cost; an
+// interrupt-mode waiter adds Params().WakeupCost itself. On a closed ring
+// with nothing in flight no completion can ever arrive, so NotifyCQE arms
+// nothing and returns false.
+func (r *Ring) NotifyCQE(fn func()) bool {
+	if r.closed && r.inFlight == 0 {
+		return false
+	}
+	r.cqWaiters = append(r.cqWaiters, fn)
+	return true
+}
+
+// WaitCQE calls k with the next completion, reaping it: at once if one is
+// ready, else once the ring posts one. Interrupt mode pays the wakeup cost
+// before reaping; polled/SQPOLL modes observe the CQE as soon as it is
+// posted (the model folds the poll loop into zero cost because the polling
+// core does no other useful work). On a closed ring with nothing left to
+// reap, k gets ErrRingClosed.
+func (r *Ring) WaitCQE(k func(CQE, error)) {
+	if cqe, ok := r.PeekCQE(); ok {
+		k(cqe, nil)
+		return
+	}
+	retry := func() { r.WaitCQE(k) }
+	woke := retry
+	if r.params.Mode == InterruptMode {
+		woke = func() { r.eng.Schedule(r.params.WakeupCost, retry) }
+	}
+	if !r.NotifyCQE(woke) {
+		k(CQE{}, ErrRingClosed)
 	}
 }

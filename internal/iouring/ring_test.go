@@ -21,6 +21,29 @@ func (s *stubTarget) Submit(req Request, complete func(res int32)) {
 	s.eng.Schedule(s.latency, func() { complete(res) })
 }
 
+// submitP is Ring.Submit blocking the calling proc until the enter returns.
+func submitP(p *sim.Proc, r *Ring) (n int, err error) {
+	p.Block(func(wake func()) {
+		r.Submit(func(m int, e error) {
+			n, err = m, e
+			wake()
+		})
+	})
+	return n, err
+}
+
+// waitCQE is Ring.WaitCQE blocking the calling proc until a completion is
+// reaped.
+func waitCQE(p *sim.Proc, r *Ring) (cqe CQE, err error) {
+	p.Block(func(wake func()) {
+		r.WaitCQE(func(c CQE, e error) {
+			cqe, err = c, e
+			wake()
+		})
+	})
+	return cqe, err
+}
+
 func newRingT(t *testing.T, eng *sim.Engine, params Params, lat sim.Duration) (*Ring, *stubTarget) {
 	t.Helper()
 	st := &stubTarget{eng: eng, latency: lat}
@@ -60,13 +83,13 @@ func TestSubmitAndComplete(t *testing.T) {
 			sqe.Len = 4096
 			sqe.UserData = uint64(i)
 		}
-		n, err := r.Submit(p)
+		n, err := submitP(p, r)
 		if err != nil || n != 4 {
 			t.Errorf("Submit = %d, %v", n, err)
 			return
 		}
 		for i := 0; i < 4; i++ {
-			cqe, err := r.WaitCQE(p)
+			cqe, err := waitCQE(p, r)
 			if err != nil {
 				t.Error(err)
 				return
@@ -112,7 +135,7 @@ func TestBatchingAmortizesSyscalls(t *testing.T) {
 					sqe.Op = OpNop
 					sqe.UserData = uint64(i + j)
 				}
-				if _, err := r.Submit(p); err != nil {
+				if _, err := submitP(p, r); err != nil {
 					t.Error(err)
 				}
 			}
@@ -160,7 +183,7 @@ func TestSQPollModeNoSyscalls(t *testing.T) {
 		}
 		// No Submit call at all: the kernel poller must pick the SQEs up.
 		for i := 0; i < 3; i++ {
-			if _, err := r.WaitCQE(p); err != nil {
+			if _, err := waitCQE(p, r); err != nil {
 				t.Error(err)
 			}
 		}
@@ -201,8 +224,8 @@ func TestInterruptModeWakeupCost(t *testing.T) {
 			sqe.Len = 4096
 			sqe.BufIndex = 0 // registered: no copy cost in either mode
 			start := p.Now()
-			r.Submit(p)
-			r.WaitCQE(p)
+			submitP(p, r)
+			waitCQE(p, r)
 			done = p.Now().Sub(start)
 		})
 		eng.Run()
@@ -228,8 +251,8 @@ func TestRegisteredBuffersSkipCopy(t *testing.T) {
 			sqe.Op = OpWrite
 			sqe.Len = 128 * 1024
 			sqe.BufIndex = bufIndex
-			r.Submit(p)
-			r.WaitCQE(p)
+			submitP(p, r)
+			waitCQE(p, r)
 		})
 		eng.Run()
 		if len(st.reqs) != 1 {
@@ -258,7 +281,7 @@ func TestCQOverflowCounted(t *testing.T) {
 					sqe.Op = OpNop
 				}
 			}
-			r.Submit(p)
+			submitP(p, r)
 		}
 	})
 	eng.Run()
@@ -284,10 +307,10 @@ func TestClosedRing(t *testing.T) {
 		t.Fatal("GetSQE on closed ring")
 	}
 	eng.Spawn("app", func(p *sim.Proc) {
-		if _, err := r.Submit(p); err != ErrRingClosed {
+		if _, err := submitP(p, r); err != ErrRingClosed {
 			t.Errorf("Submit err = %v", err)
 		}
-		if _, err := r.WaitCQE(p); err != ErrRingClosed {
+		if _, err := waitCQE(p, r); err != ErrRingClosed {
 			t.Errorf("WaitCQE err = %v", err)
 		}
 	})
@@ -300,7 +323,7 @@ func TestCPUAffinityForwarded(t *testing.T) {
 	eng.Spawn("app", func(p *sim.Proc) {
 		sqe := r.GetSQE()
 		sqe.Op = OpRead
-		r.Submit(p)
+		submitP(p, r)
 	})
 	eng.Run()
 	if st.reqs[0].CPU != 5 {
@@ -335,13 +358,13 @@ func TestRingConservationProperty(t *testing.T) {
 					id++
 					want++
 				}
-				if _, err := r.Submit(p); err != nil {
+				if _, err := submitP(p, r); err != nil {
 					ok = false
 					return
 				}
 				// Reap everything before the next batch.
 				for r.InFlight() > 0 || r.CQReady() > 0 {
-					cqe, err := r.WaitCQE(p)
+					cqe, err := waitCQE(p, r)
 					if err != nil {
 						ok = false
 						return
@@ -380,7 +403,7 @@ func TestConcurrentEntersNoDoubleDrain(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		eng.Spawn("enter", func(p *sim.Proc) {
-			r.Submit(p)
+			submitP(p, r)
 		})
 	}
 	eng.Run()
@@ -409,11 +432,42 @@ func TestMaxInFlightTracked(t *testing.T) {
 			sqe := r.GetSQE()
 			sqe.Op = OpNop
 		}
-		r.Submit(p)
+		submitP(p, r)
 	})
 	eng.Run()
 	_, _, _, _, maxIF := r.Stats()
 	if maxIF != 8 {
 		t.Fatalf("maxInFlight = %d, want 8", maxIF)
+	}
+}
+
+// TestWarmCQEReapZeroAlloc pins the completion side of a reaper built on
+// NotifyCQE: posting a CQE, the wake event, the PeekCQE drain and the
+// re-armed one-shot wake allocate nothing once warm.
+func TestWarmCQEReapZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	r, _ := newRingT(t, eng, Params{Entries: 8, Mode: SQPollMode}, 0)
+	reaped := 0
+	var reap func()
+	reap = func() {
+		for {
+			if _, ok := r.PeekCQE(); !ok {
+				break
+			}
+			reaped++
+		}
+		r.NotifyCQE(reap)
+	}
+	r.NotifyCQE(reap)
+	post := func() {
+		r.postCQE(CQE{UserData: 1})
+		eng.Run()
+	}
+	post()
+	if allocs := testing.AllocsPerRun(100, post); allocs != 0 {
+		t.Errorf("warm CQE reap allocates %.1f times, want 0", allocs)
+	}
+	if reaped != 102 {
+		t.Fatalf("reaped %d CQEs, want 102", reaped)
 	}
 }

@@ -20,13 +20,13 @@ const SegHdrBytes = 4096
 
 // Backend is the slower tier behind the cache (the RADOS data path in
 // this repo). ReadMiss fetches a read-around window on the async I/O
-// path; FlushExtent writes back one live extent durably, blocking the
-// flusher proc until the backend acknowledges. Both carry the trace
-// context of the op that caused them, so their data-path spans nest in
-// that op's trace.
+// path; FlushExtent writes back one live extent durably and calls done
+// once the backend acknowledges. The flusher has at most one FlushExtent
+// outstanding. Both carry the trace context of the op that caused them,
+// so their data-path spans nest in that op's trace.
 type Backend interface {
 	ReadMiss(off int64, n int, tr trace.Ref, done func(error))
-	FlushExtent(p *sim.Proc, off int64, n int, tr trace.Ref) error
+	FlushExtent(off int64, n int, tr trace.Ref, done func(error))
 }
 
 // Config carries the cache-device cost parameters and log geometry.
@@ -270,8 +270,11 @@ type Cache struct {
 
 	waiters []*writeOp
 
-	flushPark *sim.Completion
-	closed    bool
+	// flushParked is set while the flusher waits for wakeFlusher.
+	flushParked bool
+	closed      bool
+	// flusher is the write-back loop's state.
+	flusher flusher
 
 	// Verify-mode shadow state.
 	acked      Index // newest acked seq per byte
@@ -286,7 +289,7 @@ type Cache struct {
 	stats Stats
 }
 
-// New builds a cache on eng backed by be and starts the flusher proc.
+// New builds a cache on eng backed by be and starts the flusher.
 func New(eng *sim.Engine, cfg Config, be Backend) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -318,7 +321,8 @@ func New(eng *sim.Engine, cfg Config, be Backend) (*Cache, error) {
 		c.segs = append(c.segs, &segment{id: i, state: segFree})
 		c.free = append(c.free, i)
 	}
-	eng.Spawn("lsvd-flush", c.flusher)
+	c.flusher.bind(c)
+	eng.Schedule(0, c.flusher.loopFn)
 	return c, nil
 }
 
@@ -638,11 +642,14 @@ func (c *Cache) evict() {
 
 // ---- flusher ---------------------------------------------------------
 
+// The flusher is a self-rescheduling continuation: it parks while idle
+// and runs one round at a time, one segment and one backend write at a
+// time, re-checking the crash epoch and Close after every wait.
+
 func (c *Cache) wakeFlusher() {
-	if c.flushPark != nil {
-		fp := c.flushPark
-		c.flushPark = nil
-		fp.Complete(nil, nil)
+	if c.flushParked {
+		c.flushParked = false
+		c.eng.Schedule(0, c.flusher.loopFn)
 	}
 }
 
@@ -661,92 +668,146 @@ func (c *Cache) flusherIdle() bool {
 	return len(c.sealedQ) < c.cfg.FlushBatch && !c.urgent() && len(c.waiters) == 0
 }
 
-func (c *Cache) flusher(p *sim.Proc) {
-	for {
-		for c.flusherIdle() {
-			c.flushPark = c.eng.NewCompletion()
-			p.Await(c.flushPark)
-			c.flushPark = nil
-		}
-		if c.closed {
-			return
-		}
-		c.flushRound(p)
-	}
+// flusher is the write-back loop's state: the current round's crash epoch
+// and segment budget, and the segment being written back with its live
+// extents. Its step callbacks are bound once.
+type flusher struct {
+	c      *Cache
+	epoch0 uint64
+	left   int // segments the round may still flush
+
+	seg  *segment
+	span trace.H   // the segment's writeback-flush span
+	tr   trace.Ref // the span's context, handed to the backend
+	live []Extent
+	next int // index of the next live extent to write back
+
+	loopFn, readFn, readDoneFn func()
+	extentDoneFn               func(error)
 }
 
-func (c *Cache) flushRound(p *sim.Proc) {
-	epoch0 := c.epoch
-	n := c.cfg.FlushBatch
-	if n > len(c.sealedQ) {
-		n = len(c.sealedQ)
-	}
-	for i := 0; i < n; i++ {
-		if c.epoch != epoch0 || c.closed || len(c.sealedQ) == 0 {
-			return
-		}
-		id := c.sealedQ[0]
-		c.sealedQ = c.sealedQ[:copy(c.sealedQ, c.sealedQ[1:])]
-		seg := c.segs[id]
-		seg.state = segFlushing
-		err := c.flushSegment(p, seg, epoch0)
-		if c.epoch != epoch0 {
-			return // crash handling re-filed the segment
-		}
-		if err != nil {
-			// Backend refused: requeue at the head and back off.
-			seg.state = segSealed
-			c.sealedQ = append(c.sealedQ, 0)
-			copy(c.sealedQ[1:], c.sealedQ)
-			c.sealedQ[0] = id
-			p.Sleep(sim.Millisecond)
-			return
-		}
-	}
+func (f *flusher) bind(c *Cache) {
+	f.c = c
+	f.loopFn, f.readFn, f.readDoneFn = f.loop, f.read, f.readDone
+	f.extentDoneFn = f.extentDone
 }
 
-// flushSegment writes seg's live extents to the backend (dead bytes
-// are garbage-collected by omission), then drops and recycles it.
-func (c *Cache) flushSegment(p *sim.Proc, seg *segment, epoch0 uint64) error {
+// loop parks the flusher while it is idle and otherwise starts a round.
+func (f *flusher) loop() {
+	c := f.c
+	if c.flusherIdle() {
+		c.flushParked = true
+		return
+	}
+	if c.closed {
+		return
+	}
+	f.epoch0 = c.epoch
+	f.left = c.cfg.FlushBatch
+	if f.left > len(c.sealedQ) {
+		f.left = len(c.sealedQ)
+	}
+	f.nextSegment()
+}
+
+// nextSegment starts the round's next segment, or ends the round.
+func (f *flusher) nextSegment() {
+	c := f.c
+	if f.left == 0 || c.epoch != f.epoch0 || c.closed || len(c.sealedQ) == 0 {
+		f.loop()
+		return
+	}
+	f.left--
+	id := c.sealedQ[0]
+	c.sealedQ = c.sealedQ[:copy(c.sealedQ, c.sealedQ[1:])]
+	seg := c.segs[id]
+	seg.state = segFlushing
+	f.seg = seg
 	// The flush span joins the trace of the last sampled write that
 	// dirtied this segment, cause-linked to that write's cache span —
 	// the "why is the backend busy" edge for tail analysis.
-	h, ftr := c.Trace.Open(seg.tr, "writeback-flush")
-	h.Link(trace.KindFlush, seg.tr.Parent)
-	defer h.End()
+	f.span, f.tr = c.Trace.Open(seg.tr, "writeback-flush")
+	f.span.Link(trace.KindFlush, seg.tr.Parent)
 	c.scratch = c.writeIdx.CollectSeg(seg.id, c.scratch[:0])
-	live := c.scratch
+	f.live, f.next = c.scratch, 0
 	var liveBytes int64
-	for i := range live {
-		liveBytes += live[i].End - live[i].Off
+	for i := range f.live {
+		liveBytes += f.live[i].End - f.live[i].Off
 	}
-	if liveBytes > 0 {
-		comp := c.eng.NewCompletion()
-		c.dev.Read(int(liveBytes), func() { comp.Complete(nil, nil) })
-		p.Await(comp)
-		if c.epoch != epoch0 || c.closed {
-			return nil
-		}
+	if liveBytes == 0 {
+		f.writeBack()
+		return
 	}
-	for i := range live {
-		e := live[i]
-		if err := c.be.FlushExtent(p, e.Off, int(e.End-e.Off), ftr); err != nil {
-			return err
-		}
-		if c.epoch != epoch0 || c.closed {
-			return nil
-		}
-		if c.cfg.Verify {
-			c.flushedIdx.Insert(Extent{Off: e.Off, End: e.End, Seq: e.Seq})
-		}
-		c.stats.FlushedExtents++
-		c.stats.FlushedBytes += uint64(e.End - e.Off)
+	// Read the live payload back off the cache device first.
+	c.dev.Read(int(liveBytes), f.readFn)
+}
+
+// read runs when the device read completes; the write-back resumes one
+// event later.
+func (f *flusher) read() { f.c.eng.Schedule(0, f.readDoneFn) }
+
+func (f *flusher) readDone() {
+	c := f.c
+	if c.epoch != f.epoch0 || c.closed {
+		f.segmentDone(nil)
+		return
 	}
-	c.writeIdx.DropSeg(seg.id)
-	c.recycle(seg)
-	c.stats.Flushes++
-	c.drainWaiters()
-	return nil
+	f.writeBack()
+}
+
+// writeBack writes the next live extent to the backend, or retires the
+// segment once every extent is backend-durable (dead bytes are
+// garbage-collected by omission).
+func (f *flusher) writeBack() {
+	c := f.c
+	if f.next == len(f.live) {
+		c.writeIdx.DropSeg(f.seg.id)
+		c.recycle(f.seg)
+		c.stats.Flushes++
+		c.drainWaiters()
+		f.segmentDone(nil)
+		return
+	}
+	e := f.live[f.next]
+	c.be.FlushExtent(e.Off, int(e.End-e.Off), f.tr, f.extentDoneFn)
+}
+
+func (f *flusher) extentDone(err error) {
+	c := f.c
+	if err != nil || c.epoch != f.epoch0 || c.closed {
+		f.segmentDone(err)
+		return
+	}
+	e := f.live[f.next]
+	f.next++
+	if c.cfg.Verify {
+		c.flushedIdx.Insert(Extent{Off: e.Off, End: e.End, Seq: e.Seq})
+	}
+	c.stats.FlushedExtents++
+	c.stats.FlushedBytes += uint64(e.End - e.Off)
+	f.writeBack()
+}
+
+// segmentDone ends the segment's span and moves the round on. A crash
+// re-filed the segment already; a backend refusal requeues it at the head
+// and backs the flusher off.
+func (f *flusher) segmentDone(err error) {
+	c := f.c
+	f.span.End()
+	seg := f.seg
+	f.seg, f.span, f.tr, f.live = nil, trace.H{}, trace.Ref{}, nil
+	switch {
+	case c.epoch != f.epoch0:
+		f.loop()
+	case err != nil:
+		seg.state = segSealed
+		c.sealedQ = append(c.sealedQ, 0)
+		copy(c.sealedQ[1:], c.sealedQ)
+		c.sealedQ[0] = seg.id
+		c.eng.Schedule(sim.Millisecond, f.loopFn)
+	default:
+		f.nextSegment()
+	}
 }
 
 func (c *Cache) recycle(seg *segment) {

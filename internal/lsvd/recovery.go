@@ -92,65 +92,83 @@ func (c *Cache) Recover(done func()) {
 	}
 	c.crashed = false
 	c.recovering = true
-	c.eng.Spawn("lsvd-recover", func(p *sim.Proc) {
-		start := c.eng.Now()
-		// Surviving segments, oldest first (by first record sequence).
-		var replay []replayRec
-		for _, seg := range c.segs {
+	var start sim.Time
+	var replay []replayRec
+	// scan reads the surviving segments' headers one after another,
+	// starting at segment i; each read's records join the replay one
+	// event after the read completes.
+	var scan func(i int)
+	scan = func(i int) {
+		for ; i < len(c.segs); i++ {
+			seg := c.segs[i]
 			if seg.state == segFree {
 				continue
 			}
-			// Scan pass: journal header + record headers.
-			comp := c.eng.NewCompletion()
-			c.dev.Read(SegHdrBytes+len(seg.records)*RecordHdrBytes, func() { comp.Complete(nil, nil) })
-			p.Await(comp)
-			for _, r := range seg.records {
-				replay = append(replay, replayRec{seg: seg.id, rec: r})
-			}
-		}
-		sortRecords(replay)
-		for _, rr := range replay {
-			c.writeIdx.Insert(Extent{
-				Off:    rr.rec.off,
-				End:    rr.rec.off + int64(rr.rec.n),
-				Seg:    rr.seg,
-				SegOff: rr.rec.segOff,
-				Seq:    rr.rec.seq,
+			next := i + 1
+			c.dev.Read(SegHdrBytes+len(seg.records)*RecordHdrBytes, func() {
+				c.eng.Schedule(0, func() {
+					for _, r := range seg.records {
+						replay = append(replay, replayRec{seg: seg.id, rec: r})
+					}
+					scan(next)
+				})
 			})
-			if rr.rec.seq > c.seq {
-				c.seq = rr.rec.seq
-			}
+			return
 		}
-		// Every surviving segment is sealed (partial actives included)
-		// and queued for flush, oldest first.
-		c.sealedQ = c.sealedQ[:0]
-		for _, rr := range replay {
-			seg := c.segs[rr.seg]
-			if seg.state != segSealed {
-				seg.state = segSealed
-				c.sealedQ = append(c.sealedQ, seg.id)
-			}
-		}
-		c.stats.Recoveries++
-		c.stats.RecoveryTime = c.eng.Now().Sub(start)
-		if c.cfg.Verify {
-			c.stats.LostAcked += c.auditAcked()
-		}
-		c.recovering = false
-		pend := c.pending
-		c.pending = nil
-		for _, po := range pend {
-			if po.write {
-				c.WriteTraced(po.off, po.n, po.tr, po.done)
-			} else {
-				c.ReadTraced(po.off, po.n, po.tr, po.done)
-			}
-		}
-		c.wakeFlusher()
-		if done != nil {
-			done()
-		}
+		c.finishRecovery(start, replay, done)
+	}
+	c.eng.Schedule(0, func() {
+		start = c.eng.Now()
+		scan(0)
 	})
+}
+
+// finishRecovery rebuilds the extent index from the scanned records in
+// sequence order, queues every surviving segment for flush, and
+// re-executes the ops queued while the cache was down.
+func (c *Cache) finishRecovery(start sim.Time, replay []replayRec, done func()) {
+	sortRecords(replay)
+	for _, rr := range replay {
+		c.writeIdx.Insert(Extent{
+			Off:    rr.rec.off,
+			End:    rr.rec.off + int64(rr.rec.n),
+			Seg:    rr.seg,
+			SegOff: rr.rec.segOff,
+			Seq:    rr.rec.seq,
+		})
+		if rr.rec.seq > c.seq {
+			c.seq = rr.rec.seq
+		}
+	}
+	// Every surviving segment is sealed (partial actives included)
+	// and queued for flush, oldest first.
+	c.sealedQ = c.sealedQ[:0]
+	for _, rr := range replay {
+		seg := c.segs[rr.seg]
+		if seg.state != segSealed {
+			seg.state = segSealed
+			c.sealedQ = append(c.sealedQ, seg.id)
+		}
+	}
+	c.stats.Recoveries++
+	c.stats.RecoveryTime = c.eng.Now().Sub(start)
+	if c.cfg.Verify {
+		c.stats.LostAcked += c.auditAcked()
+	}
+	c.recovering = false
+	pend := c.pending
+	c.pending = nil
+	for _, po := range pend {
+		if po.write {
+			c.WriteTraced(po.off, po.n, po.tr, po.done)
+		} else {
+			c.ReadTraced(po.off, po.n, po.tr, po.done)
+		}
+	}
+	c.wakeFlusher()
+	if done != nil {
+		done()
+	}
 }
 
 // auditAcked returns the number of acknowledged bytes that neither the

@@ -48,9 +48,10 @@ type BackfillReport struct {
 // EC pools move rank-addressed shards.
 func (b *Backfiller) BackfillPool(p *sim.Proc, pool *Pool, before, after []uint32) (BackfillReport, error) {
 	start := p.Now()
+	eng := b.c.Eng
 	rep := BackfillReport{Pool: pool.Name}
-	streams := b.c.Eng.NewResource(b.Streams)
-	done := b.c.Eng.NewCompletion()
+	streams := eng.NewResource(b.Streams)
+	done := eng.NewCompletion()
 	outstanding := 0
 	finishOne := func() {
 		outstanding--
@@ -114,13 +115,14 @@ func (b *Backfiller) BackfillPool(p *sim.Proc, pool *Pool, before, after []uint3
 				rep.ObjectsMoved++
 				rep.BytesMoved += int64(size)
 				moveKey := key
-				b.c.Eng.Spawn("backfill", func(sp *sim.Proc) {
-					streams.Acquire(sp, 1)
-					sp.Sleep(b.PerObjectCost +
-						sim.Duration(float64(size)/b.BytesPerSec*1e9))
-					streams.Release(1)
-					b.c.OSDs[to].Store.Write(moveKey, 0, data)
-					finishOne()
+				eng.Schedule(0, func() {
+					streams.AcquireFunc(1, func() {
+						eng.Schedule(b.PerObjectCost+sim.Duration(float64(size)/b.BytesPerSec*1e9), func() {
+							streams.Release(1)
+							b.c.OSDs[to].Store.Write(moveKey, 0, data)
+							finishOne()
+						})
+					})
 				})
 			}
 		}

@@ -100,14 +100,9 @@ func (cl *Client) eng() *sim.Engine {
 // durable on all reachable placement targets. It blocks the proc on
 // WriteAsync and resumes it inside the event that completes the write.
 func (cl *Client) Write(p *sim.Proc, pool *Pool, obj string, off int, data []byte) error {
-	return cl.WriteOpts(p, pool, obj, off, data, ReqOpts{})
-}
-
-// WriteOpts is Write with per-request service hints.
-func (cl *Client) WriteOpts(p *sim.Proc, pool *Pool, obj string, off int, data []byte, opts ReqOpts) error {
 	var err error
 	p.Block(func(wake func()) {
-		cl.WriteAsync(pool, obj, off, data, opts, func(e error) {
+		cl.WriteAsync(pool, obj, off, data, ReqOpts{}, func(e error) {
 			err = e
 			wake()
 		})
@@ -118,15 +113,10 @@ func (cl *Client) WriteOpts(p *sim.Proc, pool *Pool, obj string, off int, data [
 // Read returns n bytes at (obj, off); see ReadAsync for the result's
 // lifetime.
 func (cl *Client) Read(p *sim.Proc, pool *Pool, obj string, off, n int) ([]byte, error) {
-	return cl.ReadOpts(p, pool, obj, off, n, ReqOpts{})
-}
-
-// ReadOpts is Read with per-request service hints.
-func (cl *Client) ReadOpts(p *sim.Proc, pool *Pool, obj string, off, n int, opts ReqOpts) ([]byte, error) {
 	var data []byte
 	var err error
 	p.Block(func(wake func()) {
-		cl.ReadAsync(pool, obj, off, n, opts, func(d []byte, e error) {
+		cl.ReadAsync(pool, obj, off, n, ReqOpts{}, func(d []byte, e error) {
 			data, err = d, e
 			wake()
 		})
@@ -230,31 +220,12 @@ func (cl *Client) afterPlacement(k func()) {
 	k()
 }
 
-// await starts call and hands its result to k the way a proc's Completion
-// and Await did: inline when call completes synchronously, otherwise one
-// event after it completes.
-func (cl *Client) await(call func(cb func(error)), k func(error)) {
-	calling, fired := true, false
-	var syncErr error
-	call(func(err error) {
-		if calling {
-			fired, syncErr = true, err
-			return
-		}
-		cl.eng().Schedule(0, func() { k(err) })
-	})
-	calling = false
-	if fired {
-		k(syncErr)
-	}
-}
-
 // replWrite routes a write through the pluggable replication protocol.
 // Placement is still charged here — the protocol router computes PG
 // placement just like the primary-copy path.
 func (cl *Client) replWrite(obj string, off, n int, opts ReqOpts, done func(error)) {
 	cl.afterPlacement(func() {
-		cl.await(func(cb func(error)) { cl.Repl.Write(obj, off, n, opts, cb) }, done)
+		cl.eng().AwaitFunc(func(cb func(error)) { cl.Repl.Write(obj, off, n, opts, cb) }, done)
 	})
 }
 
@@ -263,7 +234,7 @@ func (cl *Client) replWrite(obj string, off, n int, opts ReqOpts, done func(erro
 // the client hands back zeros of the requested length.
 func (cl *Client) replRead(obj string, off, n int, opts ReqOpts, done func([]byte, error)) {
 	cl.afterPlacement(func() {
-		cl.await(func(cb func(error)) { cl.Repl.Read(obj, off, n, opts, cb) }, func(err error) {
+		cl.eng().AwaitFunc(func(cb func(error)) { cl.Repl.Read(obj, off, n, opts, cb) }, func(err error) {
 			if err != nil {
 				done(nil, err)
 				return

@@ -123,9 +123,9 @@ func (m *Monitor) Reweight(osd int, w uint32) error {
 	return nil
 }
 
-// Start launches the heartbeat process: every HeartbeatEvery it checks OSD
-// liveness; an OSD down for longer than Grace is marked out, and a marked-
-// out OSD that has come back up is marked in.
+// Start launches the heartbeat, a self-rescheduling timer: every
+// HeartbeatEvery it checks OSD liveness; an OSD down for longer than Grace
+// is marked out, and a marked-out OSD that has come back up is marked in.
 //
 // The heartbeat keeps an event scheduled at all times, so a started
 // monitor prevents Engine.Run from draining: bound runs with RunUntil or
@@ -135,15 +135,22 @@ func (m *Monitor) Start() {
 		return
 	}
 	m.started = true
-	m.c.Eng.Spawn("monitor-heartbeat", func(p *sim.Proc) {
-		for m.started {
-			p.Sleep(m.HeartbeatEvery)
-			m.checkHeartbeats(p.Now())
+	eng := m.c.Eng
+	var beat func()
+	beat = func() {
+		m.checkHeartbeats(eng.Now())
+		if m.started {
+			eng.Schedule(m.HeartbeatEvery, beat)
+		}
+	}
+	eng.Schedule(0, func() {
+		if m.started {
+			eng.Schedule(m.HeartbeatEvery, beat)
 		}
 	})
 }
 
-// Stop ends the heartbeat process after its current sleep.
+// Stop ends the heartbeat after its current period.
 func (m *Monitor) Stop() { m.started = false }
 
 func (m *Monitor) checkHeartbeats(now sim.Time) {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/rados"
-	"repro/internal/sim"
 )
 
 // ErrOutOfRange reports an access outside the image; Extents wraps it so
@@ -99,112 +98,6 @@ func (im *Image) Extents(buf []Extent, off int64, n int) ([]Extent, error) {
 		out = append(out, Extent{Object: im.ObjectName(idx), Off: inOff, Len: take})
 		off += int64(take)
 		n -= take
-	}
-	return out, nil
-}
-
-// VisitExtents maps [off, off+n) and invokes visit once per backing-object
-// extent, in image order. A mapping failure returns ErrOutOfRange (wrapped)
-// before any extent is visited. With stopOnErr the first visit error returns
-// immediately and the remaining extents are skipped (how the kernel RBD
-// target aborts a request); otherwise every extent is visited and the first
-// error seen is returned (how the NBD daemons drain a request).
-func (im *Image) VisitExtents(off int64, n int, stopOnErr bool, visit func(Extent) error) error {
-	exts, err := im.Extents(nil, off, n)
-	if err != nil {
-		return err
-	}
-	var firstErr error
-	for _, e := range exts {
-		if err := visit(e); err != nil {
-			if stopOnErr {
-				return err
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// Dev is a block-device view of an image bound to a rados client: the
-// object the kernel RBD driver exposes as /dev/rbdX.
-type Dev struct {
-	Image  *Image
-	Client *rados.Client
-}
-
-// NewDev binds an image to a client.
-func NewDev(im *Image, cl *rados.Client) *Dev {
-	return &Dev{Image: im, Client: cl}
-}
-
-// WriteAt stores data at the virtual offset, spanning objects as needed.
-// Multi-object spans issue in parallel.
-func (d *Dev) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	exts, err := d.Image.Extents(nil, off, len(data))
-	if err != nil {
-		return err
-	}
-	if len(exts) == 1 {
-		return d.Client.Write(p, d.Image.Pool, exts[0].Object, exts[0].Off, data)
-	}
-	eng := d.Client.Cluster.Eng
-	comps := make([]*sim.Completion, len(exts))
-	pos := 0
-	for i, e := range exts {
-		comp := eng.NewCompletion()
-		comps[i] = comp
-		e := e
-		chunk := data[pos : pos+e.Len]
-		pos += e.Len
-		eng.Spawn("rbd-write", func(sub *sim.Proc) {
-			comp.Complete(nil, d.Client.Write(sub, d.Image.Pool, e.Object, e.Off, chunk))
-		})
-	}
-	var firstErr error
-	for _, c := range comps {
-		if _, err := p.Await(c); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// ReadAt returns n bytes at the virtual offset.
-func (d *Dev) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
-	exts, err := d.Image.Extents(nil, off, n)
-	if err != nil {
-		return nil, err
-	}
-	if len(exts) == 1 {
-		return d.Client.Read(p, d.Image.Pool, exts[0].Object, exts[0].Off, exts[0].Len)
-	}
-	eng := d.Client.Cluster.Eng
-	comps := make([]*sim.Completion, len(exts))
-	for i, e := range exts {
-		comp := eng.NewCompletion()
-		comps[i] = comp
-		e := e
-		eng.Spawn("rbd-read", func(sub *sim.Proc) {
-			data, err := d.Client.Read(sub, d.Image.Pool, e.Object, e.Off, e.Len)
-			comp.Complete(data, err)
-		})
-	}
-	out := make([]byte, 0, n)
-	var firstErr error
-	for _, c := range comps {
-		v, err := p.Await(c)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if b, ok := v.([]byte); ok {
-			out = append(out, b...)
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return out, nil
 }

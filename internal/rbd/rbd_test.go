@@ -1,7 +1,6 @@
 package rbd
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/netsim"
@@ -9,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-func newStack(t *testing.T) (*sim.Engine, *rados.Cluster, *rados.Client, *rados.Pool) {
+func newPool(t *testing.T) *rados.Pool {
 	t.Helper()
 	eng := sim.NewEngine()
 	fabric := netsim.NewFabric(eng, 5*sim.Microsecond)
@@ -17,19 +16,15 @@ func newStack(t *testing.T) (*sim.Engine, *rados.Cluster, *rados.Client, *rados.
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := rados.NewClient(c, "client", 10e9, netsim.SoftwareStack)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pool, err := c.CreateReplicatedPool("rbd", 3, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, c, cl, pool
+	return pool
 }
 
 func TestImageValidation(t *testing.T) {
-	_, _, _, pool := newStack(t)
+	pool := newPool(t)
 	if _, err := NewImage("x", 0, 0, pool); err == nil {
 		t.Fatal("zero size accepted")
 	}
@@ -46,7 +41,7 @@ func TestImageValidation(t *testing.T) {
 }
 
 func TestObjectNaming(t *testing.T) {
-	_, _, _, pool := newStack(t)
+	pool := newPool(t)
 	im, _ := NewImage("vol1", 16<<20, 4<<20, pool)
 	if im.Objects() != 4 {
 		t.Fatalf("Objects = %d", im.Objects())
@@ -60,7 +55,7 @@ func TestObjectNaming(t *testing.T) {
 // convention for the first, a middle and the last object, the same string
 // on every call, and no allocation once a name has been built.
 func TestObjectNameMemoPin(t *testing.T) {
-	_, _, _, pool := newStack(t)
+	pool := newPool(t)
 	im, _ := NewImage("vol7", 8<<30, 4<<20, pool)
 	last := im.Objects() - 1
 	for _, c := range []struct {
@@ -90,7 +85,7 @@ func TestObjectNameMemoPin(t *testing.T) {
 // buffer allocates nothing once the buffer and the name memo are warm,
 // for single-object and boundary-straddling ranges alike.
 func TestExtentsIntoBufferZeroAlloc(t *testing.T) {
-	_, _, _, pool := newStack(t)
+	pool := newPool(t)
 	im, _ := NewImage("v", 16<<20, 4<<20, pool)
 	buf, err := im.Extents(nil, 4<<20-4096, 8192)
 	if err != nil || len(buf) != 2 {
@@ -114,7 +109,7 @@ func TestExtentsIntoBufferZeroAlloc(t *testing.T) {
 }
 
 func TestExtentsSingleObject(t *testing.T) {
-	_, _, _, pool := newStack(t)
+	pool := newPool(t)
 	im, _ := NewImage("v", 8<<20, 4<<20, pool)
 	exts, err := im.Extents(nil, 100, 4096)
 	if err != nil || len(exts) != 1 {
@@ -126,7 +121,7 @@ func TestExtentsSingleObject(t *testing.T) {
 }
 
 func TestExtentsSpanObjects(t *testing.T) {
-	_, _, _, pool := newStack(t)
+	pool := newPool(t)
 	im, _ := NewImage("v", 16<<20, 4<<20, pool)
 	// 8 KiB straddling the first object boundary.
 	exts, err := im.Extents(nil, 4<<20-4096, 8192)
@@ -145,7 +140,7 @@ func TestExtentsSpanObjects(t *testing.T) {
 }
 
 func TestExtentsBoundsChecked(t *testing.T) {
-	_, _, _, pool := newStack(t)
+	pool := newPool(t)
 	im, _ := NewImage("v", 1<<20, 4<<20, pool)
 	if _, err := im.Extents(nil, -1, 10); err == nil {
 		t.Fatal("negative offset accepted")
@@ -153,77 +148,4 @@ func TestExtentsBoundsChecked(t *testing.T) {
 	if _, err := im.Extents(nil, 1<<20-5, 10); err == nil {
 		t.Fatal("overrun accepted")
 	}
-}
-
-func TestDevRoundTripWithinObject(t *testing.T) {
-	eng, _, cl, pool := newStack(t)
-	im, _ := NewImage("vol", 64<<20, 4<<20, pool)
-	dev := NewDev(im, cl)
-	payload := []byte("rbd single-object payload")
-	var got []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := dev.WriteAt(p, 12345, payload); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		var err error
-		got, err = dev.ReadAt(p, 12345, len(payload))
-		if err != nil {
-			t.Errorf("read: %v", err)
-		}
-	})
-	eng.Run()
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("round trip = %q", got)
-	}
-}
-
-func TestDevRoundTripAcrossObjects(t *testing.T) {
-	eng, c, cl, pool := newStack(t)
-	im, _ := NewImage("vol", 64<<20, 1<<20, pool)
-	dev := NewDev(im, cl)
-	payload := make([]byte, 3<<20) // spans 3-4 objects
-	for i := range payload {
-		payload[i] = byte(i * 13)
-	}
-	off := int64(1<<20 - 512)
-	var got []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := dev.WriteAt(p, off, payload); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		var err error
-		got, err = dev.ReadAt(p, off, len(payload))
-		if err != nil {
-			t.Errorf("read: %v", err)
-		}
-	})
-	eng.Run()
-	if !bytes.Equal(got, payload) {
-		t.Fatal("cross-object round trip corrupted")
-	}
-	// The data must be spread across multiple backing objects.
-	totalObjects := 0
-	for _, o := range c.OSDs {
-		totalObjects += o.Store.Objects()
-	}
-	if totalObjects < 4*3 { // >=4 objects x 3 replicas
-		t.Fatalf("only %d stored objects", totalObjects)
-	}
-}
-
-func TestDevOutOfRange(t *testing.T) {
-	eng, _, cl, pool := newStack(t)
-	im, _ := NewImage("vol", 1<<20, 1<<20, pool)
-	dev := NewDev(im, cl)
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := dev.WriteAt(p, 1<<20, []byte{1}); err == nil {
-			t.Error("write past end accepted")
-		}
-		if _, err := dev.ReadAt(p, -5, 10); err == nil {
-			t.Error("negative read accepted")
-		}
-	})
-	eng.Run()
 }

@@ -12,7 +12,8 @@
 // continuations: callbacks chained through Schedule, Resource.AcquireFunc
 // and completion callbacks, with per-op state in pooled records. Long-lived
 // actors (ring reapers, load generators, background flushers, monitors) are
-// coroutine-style Procs, each on its own goroutine; see Proc.
+// self-rescheduling continuations too. Coroutine-style Procs, each on its
+// own goroutine, remain only for one-shot scenario drivers; see Proc.
 //
 // For city-scale topologies an Engine can instead be one shard of a Shards
 // group (see shard.go): each shard runs its own event loop on its own
@@ -23,6 +24,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -180,6 +182,14 @@ func (h *eventHeap) removeAt(i int) *event {
 
 // pop removes and returns the minimum element.
 func (h *eventHeap) pop() *event { return h.removeAt(0) }
+
+// yieldEvery is how many events RunUntil dispatches between
+// runtime.Gosched calls. An engine whose actors are all continuations never
+// blocks, so at GOMAXPROCS=1 its loop would hold the only P for the whole
+// run. The Proc channel hand-offs used to be the only points where the
+// GC's background mark worker got to run; without a yield a mark phase
+// stretches over many more allocations and the heap peaks higher.
+const yieldEvery = 1024
 
 // defaultFreeCap bounds how many recycled event structs an engine retains.
 // A scheduling burst (a fan-out storm, a backfill wave) beyond the cap is
@@ -351,6 +361,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		// again.
 		e.recycle(next)
 		e.executed++
+		if e.executed%yieldEvery == 0 {
+			runtime.Gosched()
+		}
 		if fn != nil {
 			fn()
 		}

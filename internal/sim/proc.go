@@ -6,11 +6,11 @@ package sim
 // instant, so Procs need no locking and the interleaving is deterministic.
 //
 // Each Proc owns a goroutine and switches with the engine through two
-// channels, so it is reserved for long-lived actors: ring reapers, fio
-// workers, the LSVD flusher, the monitor and backfill. Per-op paths are
-// continuations (Schedule, Resource.AcquireFunc, completion callbacks);
-// a Proc that calls one blocks on it with Block, which resumes the Proc
-// inside the event that completes the op.
+// channels, so it is reserved for one-shot scenario drivers (experiment
+// scenarios, tools, examples, tests). Every stack, workload generator and
+// cluster daemon is a continuation (Schedule, Resource.AcquireFunc,
+// completion callbacks); a Proc that calls one blocks on it with Block,
+// which resumes the Proc inside the event that completes the op.
 type Proc struct {
 	eng    *Engine
 	name   string
@@ -150,6 +150,26 @@ func (p *Proc) AwaitTimeout(c *Completion, d Duration) (val any, err error, ok b
 func (p *Proc) AwaitAll(cs ...*Completion) {
 	for _, c := range cs {
 		p.Await(c)
+	}
+}
+
+// AwaitFunc starts call and hands its outcome to k the way a Proc awaiting
+// a Completion resumes: inline, after call returns, when call completes
+// synchronously; otherwise one event after it completes. It is Await for
+// continuation-style callers.
+func (e *Engine) AwaitFunc(call func(done func(error)), k func(error)) {
+	calling, fired := true, false
+	var syncErr error
+	call(func(err error) {
+		if calling {
+			fired, syncErr = true, err
+			return
+		}
+		e.Schedule(0, func() { k(err) })
+	})
+	calling = false
+	if fired {
+		k(syncErr)
 	}
 }
 
