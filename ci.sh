@@ -60,10 +60,19 @@ go test -race -count=1 -run 'TestScale' ./internal/rados/ ./internal/experiments
 # a zero-length I/O completes once on every stack shape, the card's
 # placement equals uncached CRUSH for every pg (and a placement error fails
 # the extent before any fan-out), a warm card write allocates nothing, and
-# image extent mapping allocates nothing.
+# image extent mapping allocates nothing. The host block path rides along
+# too: a warm round trip through each pooled layer (io_uring, blk-mq
+# bypass, UIFD over QDMA), a whole deliba-k-hw submit and an LSVD read miss
+# allocate nothing, and the pools stay safe where the benchmark never goes
+# (scheduler merges, a double EndIO, H2C stalls, a full C2H ring, failing
+# link chains, coalesced cache misses).
 echo "== continuation paths (race: no per-op procs + alloc pins + retry driver + mixed FIFO) =="
-go test -race -count=1 -run 'TestNoPerOpProcs|TestSubmitAfterCloseFailsOnce|TestFanoutIssueZeroAlloc|TestFanoutECIssueAllocBound|TestZeroLengthIOCompletesOnce|TestCardPlacementMatchesUncached|TestCardPlacementErrorFailsExtent|TestCardWriteAllocPin' ./internal/core/
-go test -race -count=1 -run 'TestWarmCQEReapZeroAlloc' ./internal/iouring/
+go test -race -count=1 -run 'TestNoPerOpProcs|TestSubmitAfterCloseFailsOnce|TestFanoutIssueZeroAlloc|TestFanoutECIssueAllocBound|TestZeroLengthIOCompletesOnce|TestCardPlacementMatchesUncached|TestCardPlacementErrorFailsExtent|TestCardWriteAllocPin|TestHWStackSubmitAllocPin|TestLSVDReadMissAllocPin' ./internal/core/
+go test -race -count=1 -run 'TestWarmCQEReapZeroAlloc|TestRoundTripZeroAlloc|TestLinkedChainFailureReusesRecords' ./internal/iouring/
+go test -race -count=1 -run 'TestBypassRoundTripZeroAlloc|TestMergedCallbacksFireOnceAndCarrierNotReused|TestEndIOTwicePanics' ./internal/blockmq/
+go test -race -count=1 -run 'TestQueueRqZeroAlloc|TestC2HRingFullCompletesOnce' ./internal/uifd/
+go test -race -count=1 -run 'TestH2CStallsCompleteEachOnce' ./internal/qdma/
+go test -race -count=1 -run 'TestCoalescedWaitersFireOnceInOrder' ./internal/lsvd/
 go test -race -count=1 -run 'TestRunSpawnsNoProcs' ./internal/fio/
 go test -race -count=1 -run 'TestObjectNameMemoPin|TestExtentsIntoBufferZeroAlloc' ./internal/rbd/
 go test -race -count=1 -run 'TestOSDSubmitAllocBound|TestShardKeyOneAlloc|TestClientSynchronousFailure|TestECReadStopsAtFailedShard|TestClientReplicatedAllocPin|TestRetryDriver' \
@@ -77,15 +86,19 @@ go test -race -count=1 -run 'TestResourceFIFOMixedWaiters|TestAcquireFuncRespect
 # from two shard workers) at GOMAXPROCS=1 and 4, plus the card write alloc
 # pin, which fills the image's lazy object-name memo. GOMAXPROCS may exceed
 # the CPU count, so this exercises the concurrent path on a 1-CPU box too.
-# The continuation-path pins ride along, so the no-procs, reap, close and
-# fio checks hold at either setting.
+# The continuation-path pins ride along, so the no-procs, reap, close,
+# host-block-path and fio checks hold at either setting.
 echo "== window workers at GOMAXPROCS=1 and 4 =="
 for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestShard|TestEngineReserve|TestFreelistCap|TestHeapRandomOrder' \
         ./internal/sim/ ./internal/netsim/
     GOMAXPROCS=$procs go test -count=1 -run 'TestGoldenDigests' ./internal/experiments/
-    GOMAXPROCS=$procs go test -count=1 -run 'TestStageProfile|TestNoPerOpProcs|TestSubmitAfterCloseFailsOnce|TestCardWriteAllocPin' ./internal/core/
-    GOMAXPROCS=$procs go test -count=1 -run 'TestWarmCQEReapZeroAlloc' ./internal/iouring/
+    GOMAXPROCS=$procs go test -count=1 -run 'TestStageProfile|TestNoPerOpProcs|TestSubmitAfterCloseFailsOnce|TestCardWriteAllocPin|TestHWStackSubmitAllocPin|TestLSVDReadMissAllocPin' ./internal/core/
+    GOMAXPROCS=$procs go test -count=1 -run 'TestWarmCQEReapZeroAlloc|TestRoundTripZeroAlloc|TestLinkedChainFailureReusesRecords' ./internal/iouring/
+    GOMAXPROCS=$procs go test -count=1 -run 'TestBypassRoundTripZeroAlloc|TestMergedCallbacksFireOnceAndCarrierNotReused|TestEndIOTwicePanics' ./internal/blockmq/
+    GOMAXPROCS=$procs go test -count=1 -run 'TestQueueRqZeroAlloc|TestC2HRingFullCompletesOnce' ./internal/uifd/
+    GOMAXPROCS=$procs go test -count=1 -run 'TestH2CStallsCompleteEachOnce' ./internal/qdma/
+    GOMAXPROCS=$procs go test -count=1 -run 'TestCoalescedWaitersFireOnceInOrder' ./internal/lsvd/
     GOMAXPROCS=$procs go test -count=1 -run 'TestRunSpawnsNoProcs' ./internal/fio/
 done
 

@@ -65,6 +65,12 @@ type MQ struct {
 	// trace receives one "blk-mq" span per traced request, opened at
 	// submit and closed at EndIO (nil = tracing off).
 	trace *trace.Sink
+	// kicks[h] restarts dispatch on hctx h, bound once per hctx.
+	kicks []func()
+	// free holds idle requests; like Linux's per-tag struct request, a
+	// request is reused rather than allocated per I/O. The pool grows
+	// lazily to the most requests ever in flight at once.
+	free []*Request
 }
 
 // SetTraceSink wires the MQ's span sink; pass nil to disable.
@@ -91,6 +97,8 @@ func New(eng *sim.Engine, cfg Config, driver Driver) (*MQ, error) {
 	}
 	for i := 0; i < cfg.HWQueues; i++ {
 		mq.tags = append(mq.tags, newTagSet(cfg.TagsPerHW))
+		h := i
+		mq.kicks = append(mq.kicks, func() { mq.runHW(h) })
 	}
 	return mq, nil
 }
@@ -116,6 +124,11 @@ func (mq *MQ) TagsAvailable(hctx int) int { return mq.tags[hctx].available() }
 // Submit sends a request into the block layer from proc context. The
 // returned request has been queued (or directly issued); its callback fires
 // at completion. The caller supplies the completion callback.
+//
+// Requests are pooled: the *Request that Submit and the SubmitAsync forms
+// return is valid only until its callbacks have fired. A request a
+// scheduler merges into another goes back to the pool as soon as it is
+// merged; its callbacks ride the carrier request.
 func (mq *MQ) Submit(p *sim.Proc, op OpType, off int64, length int, cpu int, done func(err error)) *Request {
 	req := mq.newRequest(op, off, length, 0, cpu, done)
 	if cost := mq.pathCost(); cost > 0 {
@@ -153,7 +166,7 @@ func (mq *MQ) SubmitAsyncTenant(op OpType, off int64, length int, flags uint32, 
 	// so driver/card spans nest inside the block layer's.
 	req.traceH, req.Trace = mq.trace.Open(tr, "blk-mq")
 	if cost := mq.pathCost(); cost > 0 {
-		mq.eng.Schedule(cost, func() { mq.place(req) })
+		mq.eng.Schedule(cost, req.placeFn)
 	} else {
 		mq.place(req)
 	}
@@ -161,22 +174,36 @@ func (mq *MQ) SubmitAsyncTenant(op OpType, off int64, length int, flags uint32, 
 }
 
 func (mq *MQ) newRequest(op OpType, off int64, length int, flags uint32, cpu int, done func(err error)) *Request {
-	req := &Request{
-		Op:        op,
-		Off:       off,
-		Len:       length,
-		Flags:     flags,
-		CPU:       cpu,
-		Tag:       -1,
-		mq:        mq,
-		submitted: mq.eng.Now(),
+	var req *Request
+	if k := len(mq.free); k > 0 {
+		req = mq.free[k-1]
+		mq.free[k-1] = nil
+		mq.free = mq.free[:k-1]
+	} else {
+		req = &Request{home: mq}
+		req.fireFn, req.placeFn, req.issueFn = req.fire, req.place, req.tryIssue
 	}
+	req.Op, req.Off, req.Len, req.Flags, req.CPU = op, off, length, flags, cpu
+	req.Tenant, req.Tag = 0, -1
+	req.mq = mq
+	req.submitted, req.started = mq.eng.Now(), 0
+	req.merged, req.fired = 0, 0
 	if done != nil {
 		req.callbacks = append(req.callbacks, done)
 	}
 	req.hctx = mq.HCtxFor(cpu)
 	mq.stats.Submitted++
 	return req
+}
+
+// recycle returns a completed or merged request to the pool, dropping its
+// callbacks and trace references but keeping the callback slice.
+func (mq *MQ) recycle(req *Request) {
+	clear(req.callbacks)
+	req.callbacks = req.callbacks[:0]
+	req.mq, req.err = nil, nil
+	req.Trace, req.traceH = trace.Ref{}, trace.H{}
+	mq.free = append(mq.free, req)
 }
 
 // pathCost is the block-layer CPU charge on the submit path.
@@ -211,14 +238,16 @@ func (mq *MQ) place(req *Request) {
 	case mq.cfg.Scheduler != nil:
 		mq.stats.SchedPass++
 		if merged := mq.cfg.Scheduler.Insert(req.hctx, req); merged {
-			// The carrier request will complete this one's callbacks.
+			// The carrier request will complete this one's callbacks;
+			// this one never reaches EndIO.
+			mq.recycle(req)
 			return
 		}
 
 	default:
 		mq.waiting[req.hctx] = append(mq.waiting[req.hctx], req)
 	}
-	mq.eng.Schedule(0, func() { mq.runHW(req.hctx) })
+	mq.eng.Schedule(0, mq.kicks[req.hctx])
 }
 
 // runHW drives the dispatch loop of one hardware context: pull from the
@@ -250,7 +279,7 @@ func (mq *MQ) runHW(hctx int) {
 		req.Tag = tag
 		if mq.cfg.DispatchCost > 0 {
 			// Model the issue-path CPU time, then hand to the driver.
-			mq.eng.Schedule(mq.cfg.DispatchCost, func() { mq.tryIssue(req) })
+			mq.eng.Schedule(mq.cfg.DispatchCost, req.issueFn)
 			continue
 		}
 		if !mq.issue(req) {
@@ -317,8 +346,7 @@ func (mq *MQ) armThrottle(hctx int) {
 // Kick restarts dispatch on all hardware contexts (used by drivers whose
 // busy condition cleared).
 func (mq *MQ) Kick() {
-	for h := 0; h < mq.cfg.HWQueues; h++ {
-		h := h
-		mq.eng.Schedule(0, func() { mq.runHW(h) })
+	for _, kick := range mq.kicks {
+		mq.eng.Schedule(0, kick)
 	}
 }

@@ -65,14 +65,25 @@ type Request struct {
 	// the driver synchronously, before the caller sees the request.
 	Trace trace.Ref
 
-	mq        *MQ
+	// mq is the owning MQ while the request is in flight and nil once it
+	// has completed (or merged), so a second EndIO panics.
+	mq *MQ
+	// home is the MQ whose pool the request belongs to; it never changes.
+	home      *MQ
 	traceH    trace.H
 	hctx      int
 	submitted sim.Time
 	started   sim.Time
-	// callbacks fire on completion; merged requests carry several.
+	// callbacks fire on completion; merged requests carry several. The
+	// slice is kept across reuse.
 	callbacks []func(err error)
 	merged    int // number of bios merged into this request
+	// err is the completion result and fired the callbacks run so far,
+	// between EndIO and the last callback.
+	err   error
+	fired int
+
+	fireFn, placeFn, issueFn func()
 }
 
 // Bytes returns the request payload size.
@@ -83,8 +94,10 @@ func (r *Request) Bytes() int { return r.Len }
 func (r *Request) MergedBios() int { return 1 + r.merged }
 
 // EndIO completes the request: the driver calls this exactly once when the
-// hardware finishes. It releases the tag, fires all completion callbacks,
-// and restarts dispatch on the hardware context.
+// hardware finishes. It releases the tag, schedules each completion
+// callback as its own event, and restarts dispatch on the hardware
+// context. The request returns to its MQ's pool just before its last
+// callback runs (at once if it has none).
 func (r *Request) EndIO(err error) {
 	mq := r.mq
 	if mq == nil {
@@ -105,16 +118,31 @@ func (r *Request) EndIO(err error) {
 	}
 	r.traceH.End()
 	r.traceH = trace.H{}
-	cbs := r.callbacks
-	r.callbacks = nil
-	for _, cb := range cbs {
-		cb := cb
-		mq.eng.Schedule(0, func() { cb(err) })
+	r.err = err
+	for range r.callbacks {
+		mq.eng.Schedule(0, r.fireFn)
 	}
 	mq.tags[r.hctx].free(r.Tag)
 	// Freeing a tag may unblock queued dispatch.
-	mq.eng.Schedule(0, func() { mq.runHW(r.hctx) })
+	mq.eng.Schedule(0, mq.kicks[r.hctx])
+	if len(r.callbacks) == 0 {
+		mq.recycle(r)
+	}
 }
+
+// fire runs the next completion callback; before the last one it returns
+// the request to the pool.
+func (r *Request) fire() {
+	cb, err := r.callbacks[r.fired], r.err
+	r.fired++
+	if r.fired == len(r.callbacks) {
+		r.home.recycle(r)
+	}
+	cb(err)
+}
+
+func (r *Request) place()    { r.home.place(r) }
+func (r *Request) tryIssue() { r.home.tryIssue(r) }
 
 func (r *Request) String() string {
 	return fmt.Sprintf("%v off=%d len=%d cpu=%d tag=%d", r.Op, r.Off, r.Len, r.CPU, r.Tag)

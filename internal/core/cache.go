@@ -20,36 +20,73 @@ import (
 
 // cacheTarget is the ring target for cache-lsvd stacks. It owns the
 // kernel span and the RBD map cost; the wrapped inner target is built
-// bare so neither is charged twice.
+// bare so neither is charged twice. Each request runs as one pooled
+// cacheOp.
 type cacheTarget struct {
 	eng     *sim.Engine
 	cache   *lsvd.Cache
 	mapCost sim.Duration
 	trace   *trace.Sink
+
+	free []*cacheOp
+}
+
+// cacheOp is one ring request's trip through the cache tier: the map cost,
+// then the cache read or write. Ops are pooled on the target with their
+// steps bound once, and an op returns to the pool just before its
+// completion runs.
+type cacheOp struct {
+	t        *cacheTarget
+	req      iouring.Request // Trace is the kernel span's context
+	kernel   trace.H
+	cached   trace.H
+	complete func(res int32)
+
+	enterFn func()
+	doneFn  func(error)
 }
 
 func (t *cacheTarget) Submit(req iouring.Request, complete func(res int32)) {
-	length := req.Len
+	var o *cacheOp
+	if k := len(t.free); k > 0 {
+		o = t.free[k-1]
+		t.free[k-1] = nil
+		t.free = t.free[:k-1]
+	} else {
+		o = &cacheOp{t: t}
+		o.enterFn, o.doneFn = o.enter, o.done
+	}
+	o.req, o.complete = req, complete
 	// Kernel span covers map cost + cache residency; the cache span and
 	// any miss-fill descent nest under it.
-	hk, tr := t.trace.Open(req.Trace, StageKernel)
-	t.eng.Schedule(t.mapCost, func() {
-		hc, ctr := t.trace.Open(tr, StageCache)
-		done := func(err error) {
-			hc.End()
-			hk.End()
-			if err != nil {
-				complete(iouring.ResEIO)
-				return
-			}
-			complete(int32(length))
-		}
-		if req.Op == iouring.OpWrite {
-			t.cache.WriteTraced(req.Off, int(req.Len), ctr, done)
-		} else {
-			t.cache.ReadTraced(req.Off, int(req.Len), ctr, done)
-		}
-	})
+	o.kernel, o.req.Trace = t.trace.Open(req.Trace, StageKernel)
+	t.eng.Schedule(t.mapCost, o.enterFn)
+}
+
+// enter runs the request against the cache under its cache span.
+func (o *cacheOp) enter() {
+	t := o.t
+	var ctr trace.Ref
+	o.cached, ctr = t.trace.Open(o.req.Trace, StageCache)
+	if o.req.Op == iouring.OpWrite {
+		t.cache.WriteTraced(o.req.Off, int(o.req.Len), ctr, o.doneFn)
+	} else {
+		t.cache.ReadTraced(o.req.Off, int(o.req.Len), ctr, o.doneFn)
+	}
+}
+
+// done ends both spans, recycles the op and completes the request.
+func (o *cacheOp) done(err error) {
+	t, complete, length := o.t, o.complete, o.req.Len
+	o.cached.End()
+	o.kernel.End()
+	o.req, o.kernel, o.cached, o.complete = iouring.Request{}, trace.H{}, trace.H{}, nil
+	t.free = append(t.free, o)
+	if err != nil {
+		complete(iouring.ResEIO)
+		return
+	}
+	complete(int32(length))
 }
 
 // cacheBackend adapts the stack's data path to lsvd.Backend: read-around
@@ -72,11 +109,32 @@ type cacheBackend struct {
 	flushOpts rados.ReqOpts
 	flushDone func(error)
 	wroteFn   func(error)
+
+	misses []*missFill
+}
+
+// missFill is one miss fill in flight on the inner target, pooled with
+// its completion bound once; it returns to the pool just before its done
+// runs.
+type missFill struct {
+	b          *cacheBackend
+	done       func(error)
+	completeFn func(res int32)
 }
 
 // ReadMiss sends a miss fill down the inner data path under the caller's
 // trace context.
 func (b *cacheBackend) ReadMiss(off int64, n int, tr trace.Ref, done func(error)) {
+	var m *missFill
+	if k := len(b.misses); k > 0 {
+		m = b.misses[k-1]
+		b.misses[k-1] = nil
+		b.misses = b.misses[:k-1]
+	} else {
+		m = &missFill{b: b}
+		m.completeFn = m.complete
+	}
+	m.done = done
 	req := iouring.Request{
 		Op:      iouring.OpRead,
 		Off:     off,
@@ -84,9 +142,14 @@ func (b *cacheBackend) ReadMiss(off int64, n int, tr trace.Ref, done func(error)
 		RWFlags: blockmq.FlagRandom,
 		Trace:   tr,
 	}
-	b.inner.Submit(req, func(res int32) {
-		done(errIO(res))
-	})
+	b.inner.Submit(req, m.completeFn)
+}
+
+func (m *missFill) complete(res int32) {
+	done := m.done
+	m.done = nil
+	m.b.misses = append(m.b.misses, m)
+	done(errIO(res))
 }
 
 // FlushExtent writes one live extent back through the flush client, one

@@ -175,11 +175,8 @@ func (dp *legacyCardPath) run(op OpType, pattern Pattern, off int64, n, tenant i
 // clientPath is the software-baseline datapath: the user-space Ceph
 // library, extent by extent, on the daemon thread.
 type clientPath struct {
-	cm     CostModel
-	client *rados.Client
-	image  *rbd.Image
-	pool   *rados.Pool
-	trace  *trace.Sink
+	cm CostModel
+	io extentIssuer
 }
 
 func (dp *clientPath) hostCPU(op OpType, _ int) sim.Duration {
@@ -189,57 +186,12 @@ func (dp *clientPath) hostCPU(op OpType, _ int) sim.Duration {
 	return dp.cm.D2SWLibraryWrite
 }
 
+// run issues every extent and reports the first error; a mapping error
+// fails the request synchronously.
 func (dp *clientPath) run(op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref, done func(error)) {
-	opts := rados.ReqOpts{Random: pattern == Rand, Tenant: tenant, Trace: tr}
-	clientExtents(dp.trace, dp.client, dp.image, dp.pool, op, off, n, false, opts, done)
-}
-
-// clientExtents issues one software-client request per backing-object
-// extent of [off, off+n), one after another, each under its own fan-out
-// span, and calls done with the outcome. A mapping error fails the request
-// before any extent is issued; with stopOnErr the first extent error fails
-// it and skips the rest (how the kernel RBD target aborts a request),
-// otherwise every extent is issued and the first error is reported (how
-// the NBD daemons drain a request). done runs synchronously on a mapping
-// error.
-func clientExtents(sink *trace.Sink, client *rados.Client, image *rbd.Image, pool *rados.Pool,
-	op OpType, off int64, n int, stopOnErr bool, opts rados.ReqOpts, done func(error)) {
-	exts, err := image.Extents(nil, off, n)
-	if err != nil {
-		done(err)
-		return
-	}
-	var firstErr error
-	var visit func(i int)
-	visit = func(i int) {
-		if i == len(exts) {
-			done(firstErr)
-			return
-		}
-		e := exts[i]
-		h, tr := sink.Open(opts.Trace, StageFanout)
-		eopts := opts
-		eopts.Trace = tr
-		next := func(err error) {
-			h.End()
-			if err != nil {
-				if stopOnErr {
-					done(err)
-					return
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-			visit(i + 1)
-		}
-		if op == Write {
-			client.WriteAsync(pool, e.Object, e.Off, rados.Zeros(e.Len), eopts, next)
-		} else {
-			client.ReadAsync(pool, e.Object, e.Off, e.Len, eopts, func(_ []byte, err error) { next(err) })
-		}
-	}
-	visit(0)
+	o := dp.io.get()
+	o.done = done
+	o.run(op, off, n, false, rados.ReqOpts{Random: pattern == Rand, Tenant: tenant, Trace: tr})
 }
 
 // d1Path is DeLiBA-1's datapath: per extent, the payload and command
@@ -789,9 +741,9 @@ func (tb *Testbed) buildURingClient(s *pipelineStack) error {
 	s.transport = hostOnly{}
 	s.placement = swPlacement{}
 	s.fanout = &clientFanout{client: client}
-	var target iouring.Target = &radosTarget{tb: tb, client: client, image: s.image, pool: s.pool,
-		mapCost: tb.CM.DKRBDMapCost, trace: tb.traceHost,
-		bare: s.spec.Cache == CacheLSVD}
+	var target iouring.Target = &radosTarget{eng: tb.Eng, mapCost: tb.CM.DKRBDMapCost,
+		bare: s.spec.Cache == CacheLSVD,
+		io:   extentIssuer{sink: tb.traceHost, client: client, image: s.image, pool: s.pool}}
 	if s.spec.Cache == CacheLSVD {
 		target, err = tb.buildCacheTarget(s, target)
 		if err != nil {
@@ -867,8 +819,8 @@ func (tb *Testbed) buildNBDClient(s *pipelineStack) error {
 		tb:      tb,
 		profile: tb.CM.D2Host,
 		daemon:  tb.Eng.NewResource(1),
-		path: &clientPath{cm: tb.CM, client: client, image: s.image,
-			pool: s.pool, trace: tb.traceHost},
+		path: &clientPath{cm: tb.CM,
+			io: extentIssuer{sink: tb.traceHost, client: client, image: s.image, pool: s.pool}},
 	}
 	return nil
 }

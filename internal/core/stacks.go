@@ -206,6 +206,7 @@ func buildShell(tb *Testbed, pool *rados.Pool, staticOnly bool) (*fpga.Shell, er
 // RBD driver's offset→object mapping cost is charged, then the request
 // enters blk-mq (bypass) toward the card. Write-path card overhead
 // (descriptor + doorbell + durability aggregation) rides on the request.
+// Each request runs as one pooled dmqOp.
 type dmqTarget struct {
 	eng        *sim.Engine
 	mq         *blockmq.MQ
@@ -215,87 +216,236 @@ type dmqTarget struct {
 	// bare skips the kernel span and RBD map cost: the cacheTarget
 	// wrapping this target already charged them once above the cache.
 	bare bool
+
+	free []*dmqOp
+}
+
+// dmqOp is one ring request's kernel residency: the map cost, then blk-mq.
+// Ops are pooled on the target with their steps bound once, and an op
+// returns to the pool just before its completion runs.
+type dmqOp struct {
+	t        *dmqTarget
+	req      iouring.Request // Trace is the kernel span's context
+	kernel   trace.H
+	complete func(res int32)
+
+	submitFn func()
+	doneFn   func(error)
 }
 
 func (t *dmqTarget) Submit(req iouring.Request, complete func(res int32)) {
-	op := blockmq.OpRead
-	extra := sim.Duration(0)
-	if req.Op == iouring.OpWrite {
-		op = blockmq.OpWrite
-		extra = t.writeExtra
+	var o *dmqOp
+	if k := len(t.free); k > 0 {
+		o = t.free[k-1]
+		t.free[k-1] = nil
+		t.free = t.free[:k-1]
+	} else {
+		o = &dmqOp{t: t}
+		o.submitFn, o.doneFn = o.submit, o.done
 	}
-	delay := extra
-	tr := req.Trace
-	var hk trace.H
+	o.req, o.complete = req, complete
+	delay := sim.Duration(0)
+	if req.Op == iouring.OpWrite {
+		delay = t.writeExtra
+	}
 	if !t.bare {
 		delay += t.mapCost
 		// The kernel span contains the whole below-ring residency;
 		// blk-mq and the card pipeline nest under it.
-		hk, tr = t.trace.Open(tr, StageKernel)
+		o.kernel, o.req.Trace = t.trace.Open(req.Trace, StageKernel)
 	}
-	t.eng.Schedule(delay, func() {
-		// blk-mq's own span is the transport stage: dispatch, QDMA H2C,
-		// card residency, C2H. Subtract the card stages to isolate the
-		// transport itself.
-		length := req.Len
-		t.mq.SubmitAsyncTenant(op, req.Off, int(req.Len), req.RWFlags, req.CPU, req.Tenant, tr, func(err error) {
-			hk.End()
-			if err != nil {
-				complete(iouring.ResEIO)
-				return
-			}
-			complete(int32(length))
-		})
-	})
+	t.eng.Schedule(delay, o.submitFn)
 }
 
-// radosTarget routes ring submissions into the software Ceph client.
+// submit enters blk-mq. blk-mq's own span is the transport stage:
+// dispatch, QDMA H2C, card residency, C2H. Subtract the card stages to
+// isolate the transport itself.
+func (o *dmqOp) submit() {
+	op := blockmq.OpRead
+	if o.req.Op == iouring.OpWrite {
+		op = blockmq.OpWrite
+	}
+	r := &o.req
+	o.t.mq.SubmitAsyncTenant(op, r.Off, int(r.Len), r.RWFlags, r.CPU, r.Tenant, r.Trace, o.doneFn)
+}
+
+// done ends the kernel span, recycles the op and completes the request.
+func (o *dmqOp) done(err error) {
+	t, complete, length := o.t, o.complete, o.req.Len
+	o.kernel.End()
+	o.req, o.kernel, o.complete = iouring.Request{}, trace.H{}, nil
+	t.free = append(t.free, o)
+	if err != nil {
+		complete(iouring.ResEIO)
+		return
+	}
+	complete(int32(length))
+}
+
+// radosTarget routes ring submissions into the software Ceph client. Each
+// request runs as one pooled clientIO.
 type radosTarget struct {
-	tb      *Testbed
-	client  *rados.Client
-	image   *rbd.Image
-	pool    *rados.Pool
+	eng     *sim.Engine
 	mapCost sim.Duration
-	trace   *trace.Sink
 	// bare skips the kernel span and RBD map cost: the cacheTarget
 	// wrapping this target already charged them once above the cache.
 	bare bool
+	io   extentIssuer
 }
 
 func (t *radosTarget) Submit(req iouring.Request, complete func(res int32)) {
-	eng := t.tb.Eng
-	eng.Schedule(0, func() {
-		if t.bare {
-			t.issue(req, complete)
-			return
-		}
-		// The kernel RBD residency is just the map cost here; the client
-		// round trips are siblings, not children, of it.
-		hk := t.trace.Begin(req.Trace, StageKernel)
-		eng.Schedule(t.mapCost, func() {
-			hk.End()
-			t.issue(req, complete)
-		})
-	})
+	o := t.io.get()
+	o.t, o.req, o.complete = t, req, complete
+	t.eng.Schedule(0, o.startFn)
 }
 
-// issue runs the request's extents through the software client.
-func (t *radosTarget) issue(req iouring.Request, complete func(res int32)) {
+// extentIssuer runs requests through the software client one
+// backing-object extent after another, each under its own fan-out span,
+// on pooled clientIO records. The DK-SW ring target stops a request at
+// its first extent error (how the kernel RBD target aborts a request); the
+// D2-SW daemon issues every extent and reports the first error (how the
+// NBD daemons drain a request).
+type extentIssuer struct {
+	sink   *trace.Sink
+	client *rados.Client
+	image  *rbd.Image
+	pool   *rados.Pool
+
+	free []*clientIO
+}
+
+// clientIO is one request through the software client: on the ring target
+// the kernel RBD residency first, then its extents in order. Records are
+// pooled per issuer with their steps bound once and keep their extent
+// scratch across reuse; a record returns to the pool just before its
+// completion runs.
+type clientIO struct {
+	x *extentIssuer
+	// t, req and complete are set on the ring target (t == nil for the
+	// daemon path, which completes through done).
+	t        *radosTarget
+	req      iouring.Request
+	complete func(res int32)
+	done     func(error)
+
+	op        OpType
+	exts      []rbd.Extent
+	next      int
+	stopOnErr bool
+	opts      rados.ReqOpts
+	firstErr  error
+	// span is the kernel span while the map cost runs, then the current
+	// extent's fan-out span.
+	span trace.H
+
+	startFn, mappedFn func()
+	extentFn          func(error)
+	readFn            func([]byte, error)
+}
+
+func (x *extentIssuer) get() *clientIO {
+	if k := len(x.free); k > 0 {
+		o := x.free[k-1]
+		x.free[k-1] = nil
+		x.free = x.free[:k-1]
+		return o
+	}
+	o := &clientIO{x: x}
+	o.startFn, o.mappedFn = o.start, o.mapped
+	o.extentFn, o.readFn = o.extentDone, o.readDone
+	return o
+}
+
+// start is the ring request's first event. The kernel RBD residency is
+// just the map cost here; the client round trips are siblings, not
+// children, of it.
+func (o *clientIO) start() {
+	if o.t.bare {
+		o.issue()
+		return
+	}
+	o.span = o.x.sink.Begin(o.req.Trace, StageKernel)
+	o.t.eng.Schedule(o.t.mapCost, o.mappedFn)
+}
+
+func (o *clientIO) mapped() {
+	o.span.End()
+	o.issue()
+}
+
+// issue runs the ring request's extents, stopping at the first error.
+func (o *clientIO) issue() {
 	op := Read
-	if req.Op == iouring.OpWrite {
+	if o.req.Op == iouring.OpWrite {
 		op = Write
 	}
-	opts := rados.ReqOpts{Random: req.RWFlags&blockmq.FlagRandom != 0, Tenant: req.Tenant, Trace: req.Trace}
-	clientExtents(t.trace, t.client, t.image, t.pool, op, req.Off, int(req.Len), true, opts, func(err error) {
-		switch {
-		case err == nil:
-			complete(int32(req.Len))
-		case errors.Is(err, rbd.ErrOutOfRange):
-			complete(iouring.ResEINVAL)
-		default:
-			complete(iouring.ResEIO)
+	opts := rados.ReqOpts{Random: o.req.RWFlags&blockmq.FlagRandom != 0, Tenant: o.req.Tenant, Trace: o.req.Trace}
+	o.run(op, o.req.Off, int(o.req.Len), true, opts)
+}
+
+// run maps [off, off+n) to its extents and issues the first. A mapping
+// error fails the request before any extent is issued, synchronously.
+func (o *clientIO) run(op OpType, off int64, n int, stopOnErr bool, opts rados.ReqOpts) {
+	exts, err := o.x.image.Extents(o.exts[:0], off, n)
+	if err != nil {
+		o.finish(err)
+		return
+	}
+	o.exts, o.next, o.firstErr = exts, 0, nil
+	o.op, o.stopOnErr, o.opts = op, stopOnErr, opts
+	o.visit()
+}
+
+// visit issues the next extent, or completes the request after the last.
+func (o *clientIO) visit() {
+	if o.next == len(o.exts) {
+		o.finish(o.firstErr)
+		return
+	}
+	x, e := o.x, o.exts[o.next]
+	o.next++
+	eopts := o.opts
+	o.span, eopts.Trace = x.sink.Open(o.opts.Trace, StageFanout)
+	if o.op == Write {
+		x.client.WriteAsync(x.pool, e.Object, e.Off, rados.Zeros(e.Len), eopts, o.extentFn)
+	} else {
+		x.client.ReadAsync(x.pool, e.Object, e.Off, e.Len, eopts, o.readFn)
+	}
+}
+
+func (o *clientIO) readDone(_ []byte, err error) { o.extentDone(err) }
+
+func (o *clientIO) extentDone(err error) {
+	o.span.End()
+	if err != nil {
+		if o.stopOnErr {
+			o.finish(err)
+			return
 		}
-	})
+		if o.firstErr == nil {
+			o.firstErr = err
+		}
+	}
+	o.visit()
+}
+
+// finish recycles the record, then completes the request: a CQE result
+// on the ring target, the error itself on the daemon path.
+func (o *clientIO) finish(err error) {
+	complete, done, length := o.complete, o.done, o.req.Len
+	o.t, o.req, o.complete, o.done = nil, iouring.Request{}, nil, nil
+	o.opts, o.firstErr, o.span = rados.ReqOpts{}, nil, trace.H{}
+	o.x.free = append(o.x.free, o)
+	switch {
+	case complete == nil:
+		done(err)
+	case err == nil:
+		complete(int32(length))
+	case errors.Is(err, rbd.ErrOutOfRange):
+		complete(iouring.ResEINVAL)
+	default:
+		complete(iouring.ResEIO)
+	}
 }
 
 // newSWClient builds a rados client with software-path costs.

@@ -119,7 +119,9 @@ func (m Mode) String() string {
 
 // Target is the kernel object a ring submits to (the DMQ block layer, a
 // legacy device, a test stub). Submit must eventually invoke complete
-// exactly once with the operation result.
+// exactly once with the operation result. complete belongs to a pooled
+// in-flight record, so a second call would complete whichever SQE reuses
+// the record next.
 type Target interface {
 	Submit(req Request, complete func(res int32))
 }
@@ -232,6 +234,11 @@ type Ring struct {
 
 	pollerArmed bool
 	closed      bool
+	// pollFn is the SQPOLL pickup, bound once so arming the poller
+	// allocates nothing.
+	pollFn func()
+	// free holds idle in-flight records (see inflight).
+	free []*inflight
 	// chain holds a link chain the SQPOLL poller caught mid-publication:
 	// its last gathered SQE still has FlagIOLink set, so the chain's tail
 	// had not been written to the SQ when the drain ran. The next drain
@@ -258,7 +265,7 @@ func Setup(eng *sim.Engine, params Params, target Target) (*Ring, error) {
 	params.fillDefaults()
 	sqSize := nextPow2(params.Entries)
 	cqSize := sqSize * 2
-	return &Ring{
+	r := &Ring{
 		eng:       eng,
 		params:    params,
 		target:    target,
@@ -266,7 +273,9 @@ func Setup(eng *sim.Engine, params Params, target Target) (*Ring, error) {
 		sqMask:    sqSize - 1,
 		cqEntries: make([]CQE, cqSize),
 		cqMask:    cqSize - 1,
-	}, nil
+	}
+	r.pollFn = r.poll
+	return r, nil
 }
 
 // Params returns the effective parameters (after defaulting/rounding).
@@ -401,14 +410,18 @@ func (r *Ring) armPoller() {
 		return
 	}
 	r.pollerArmed = true
-	r.eng.Schedule(r.params.SQPollLatency, func() {
-		r.pollerArmed = false
-		if n := r.SQPending(); n > 0 {
-			// The SQPOLL thread spends per-SQE kernel time but the app
-			// thread is not blocked — that is the point of the mode.
-			r.drainSQ(n, false)
-		}
-	})
+	r.eng.Schedule(r.params.SQPollLatency, r.pollFn)
+}
+
+// poll is the SQPOLL thread's pickup: it drains whatever the app queued
+// since the poller was armed.
+func (r *Ring) poll() {
+	r.pollerArmed = false
+	if n := r.SQPending(); n > 0 {
+		// The SQPOLL thread spends per-SQE kernel time but the app
+		// thread is not blocked — that is the point of the mode.
+		r.drainSQ(n, false)
+	}
 }
 
 // drainSQ moves up to n SQEs from the ring into the target. Concurrent
@@ -489,6 +502,33 @@ func (r *Ring) dispatchChain(chain []SQE) {
 
 func (r *Ring) dispatch(sqe SQE) { r.dispatchCB(sqe, nil) }
 
+// inflight is one SQE between dispatch and its CQE: the kernel-side
+// request, the user data its CQE carries and, for a link chain, the
+// continuation after it. Records are pooled per ring with their deliver
+// and complete steps bound once, and a record returns to the pool just
+// before its CQE is posted.
+type inflight struct {
+	r        *Ring
+	req      Request
+	userData uint64
+	after    func(res int32)
+
+	deliverFn  func()
+	completeFn func(res int32)
+}
+
+func (r *Ring) getInflight() *inflight {
+	if k := len(r.free); k > 0 {
+		x := r.free[k-1]
+		r.free[k-1] = nil
+		r.free = r.free[:k-1]
+		return x
+	}
+	x := &inflight{r: r}
+	x.deliverFn, x.completeFn = x.deliver, x.complete
+	return x
+}
+
 // dispatchCB dispatches one SQE; after posts its CQE, then runs (for link
 // chains).
 func (r *Ring) dispatchCB(sqe SQE, after func(res int32)) {
@@ -501,7 +541,8 @@ func (r *Ring) dispatchCB(sqe SQE, after func(res int32)) {
 		})
 		return
 	}
-	req := Request{
+	x := r.getInflight()
+	x.req = Request{
 		Op:         sqe.Op,
 		FD:         sqe.FD,
 		Off:        sqe.Off,
@@ -512,30 +553,37 @@ func (r *Ring) dispatchCB(sqe SQE, after func(res int32)) {
 		Tenant:     sqe.Tenant,
 		Trace:      sqe.Trace,
 	}
-	userData := sqe.UserData
+	x.userData, x.after = sqe.UserData, after
 	// Unregistered buffers pay a user->kernel copy on writes now and a
 	// kernel->user copy when the completion is reaped.
 	var submitDelay sim.Duration
-	if !req.Registered && req.Op == OpWrite {
-		submitDelay = sim.Duration(int64(r.params.CopyPerKiB) * int64(req.Len) / 1024)
+	if !x.req.Registered && x.req.Op == OpWrite {
+		submitDelay = sim.Duration(int64(r.params.CopyPerKiB) * int64(x.req.Len) / 1024)
 	}
 	r.inFlight++
 	if r.inFlight > r.maxInFlight {
 		r.maxInFlight = r.inFlight
 	}
-	deliver := func() {
-		r.target.Submit(req, func(res int32) {
-			r.inFlight--
-			r.postCQE(CQE{UserData: userData, Res: res})
-			if after != nil {
-				after(res)
-			}
-		})
-	}
 	if submitDelay > 0 {
-		r.eng.Schedule(submitDelay, deliver)
+		r.eng.Schedule(submitDelay, x.deliverFn)
 	} else {
-		deliver()
+		x.deliver()
+	}
+}
+
+// deliver hands the request to the target.
+func (x *inflight) deliver() { x.r.target.Submit(x.req, x.completeFn) }
+
+// complete recycles the record, then posts the CQE and runs the chain
+// continuation.
+func (x *inflight) complete(res int32) {
+	r, userData, after := x.r, x.userData, x.after
+	x.req, x.after = Request{}, nil
+	r.free = append(r.free, x)
+	r.inFlight--
+	r.postCQE(CQE{UserData: userData, Res: res})
+	if after != nil {
+		after(res)
 	}
 }
 

@@ -174,11 +174,21 @@ type fillKey struct {
 	off, end int64
 }
 
-// inflightFill parks the completions of coalesced misses until the one
-// backend fetch for their window lands.
+// inflightFill is one backend fetch of a read-around window: the miss
+// that started it, and the completions of later misses coalesced onto it
+// until it lands. Fills are pooled per cache with their completion bound
+// once; the waiters slice is kept across reuse.
 type inflightFill struct {
-	epoch   uint64
+	c     *Cache
+	key   fillKey // the window [key.off, key.end)
+	epoch uint64
+	// admit reports whether a successful fetch enters the read cache
+	// (false for an AdmitOnReuse first touch).
+	admit   bool
+	done    func(error)
 	waiters []func(error)
+
+	doneFn func(error)
 }
 
 type pendingOp struct {
@@ -281,6 +291,7 @@ type Cache struct {
 	flushedIdx Index // newest seq durably in the backend per byte
 
 	scratch   []Extent
+	fillPool  []*inflightFill
 	readPool  []*readOp
 	writePool []*writeOp
 	chunkPool []*chunkOp
@@ -579,23 +590,44 @@ func (c *Cache) ReadTraced(off int64, n int, tr trace.Ref, done func(error)) {
 		f.waiters = append(f.waiters, done)
 		return
 	}
-	f := &inflightFill{epoch: c.epoch}
+	f := c.getFill()
+	f.key, f.epoch, f.admit, f.done = key, c.epoch, admit, done
 	c.fills[key] = f
-	fillDone := func(err error) {
-		if c.fills[key] == f {
-			delete(c.fills, key)
-		}
-		ws := f.waiters
-		f.waiters = nil
-		if err == nil && admit && f.epoch == c.epoch && !c.crashed && !c.recovering {
-			c.fill(ra0, ra1)
-		}
-		done(err)
-		for _, w := range ws {
-			w(err)
-		}
+	c.be.ReadMiss(ra0, int(ra1-ra0), tr, f.doneFn)
+}
+
+func (c *Cache) getFill() *inflightFill {
+	if k := len(c.fillPool); k > 0 {
+		f := c.fillPool[k-1]
+		c.fillPool[k-1] = nil
+		c.fillPool = c.fillPool[:k-1]
+		return f
 	}
-	c.be.ReadMiss(ra0, int(ra1-ra0), tr, fillDone)
+	f := &inflightFill{c: c}
+	f.doneFn = f.fetched
+	return f
+}
+
+// fetched lands a window fetch: the window enters the read cache (unless
+// the fill was orphaned by a crash or bypasses admission), then the
+// filling miss completes and after it each coalesced waiter, in arrival
+// order. The fill left the in-flight map first, so no later miss can
+// join it while its waiters run; it returns to the pool after the last.
+func (f *inflightFill) fetched(err error) {
+	c := f.c
+	if c.fills[f.key] == f {
+		delete(c.fills, f.key)
+	}
+	if err == nil && f.admit && f.epoch == c.epoch && !c.crashed && !c.recovering {
+		c.fill(f.key.off, f.key.end)
+	}
+	f.done(err)
+	for _, w := range f.waiters {
+		w(err)
+	}
+	clear(f.waiters)
+	f.waiters, f.done = f.waiters[:0], nil
+	c.fillPool = append(c.fillPool, f)
 }
 
 func (c *Cache) readDone(op *readOp) {

@@ -148,6 +148,9 @@ type Engine struct {
 	transfers  uint64
 	bytesMoved uint64
 	stalls     uint64 // transfers delayed by H2C concurrency/reorder limits
+
+	// free holds idle transfer records.
+	free []*transfer
 }
 
 // New builds a QDMA engine.
@@ -250,40 +253,40 @@ func (qs *QueueSet) Transfer(dir Direction, n int, desc Descriptor, done func())
 		}
 		qs.c2hPending++
 	}
-	start := func() {
-		// Descriptor fetch by the Descriptor Engine.
-		fetch := e.Cycles(e.cfg.DescriptorFetchCycles)
-		// Streaming occupies the shared datapath FIFO-style.
-		wire := e.streamTime(n)
-		if e.pcieTime(n) > wire {
-			wire = e.pcieTime(n)
-		}
-		busStart := e.eng.Now().Add(fetch)
-		if e.busNextFree > busStart {
-			busStart = e.busNextFree
-		}
-		e.busNextFree = busStart.Add(wire)
-		completeAt := e.busNextFree.Add(e.Cycles(e.cfg.CompletionCycles))
-		e.eng.At(completeAt, func() {
-			e.transfers++
-			e.bytesMoved += uint64(n)
-			if dir == H2C {
-				qs.h2cPending--
-				e.h2cInFlight--
-				e.reorderUsed -= reorderFootprint(n)
-			} else {
-				qs.c2hPending--
-			}
-			qs.completions++
-			done()
-		})
-	}
+	t := e.getTransfer()
+	t.qs, t.dir, t.n, t.done = qs, dir, n, done
 	if dir == H2C {
-		e.admitH2C(n, start)
+		t.admit()
 	} else {
-		e.eng.Schedule(0, start)
+		e.eng.Schedule(0, t.startFn)
 	}
 	return nil
+}
+
+// transfer is one DMA in flight: admission (H2C), the descriptor fetch
+// and streaming, then the completion entry. Records are pooled per engine
+// with their steps bound once; a record returns to the pool just before
+// its done runs.
+type transfer struct {
+	e    *Engine
+	qs   *QueueSet
+	dir  Direction
+	n    int
+	done func()
+
+	admitFn, startFn, completeFn func()
+}
+
+func (e *Engine) getTransfer() *transfer {
+	if k := len(e.free); k > 0 {
+		t := e.free[k-1]
+		e.free[k-1] = nil
+		e.free = e.free[:k-1]
+		return t
+	}
+	t := &transfer{e: e}
+	t.admitFn, t.startFn, t.completeFn = t.admit, t.start, t.complete
+	return t
 }
 
 // reorderFootprint is the slice of the re-order buffer an in-flight H2C
@@ -295,19 +298,57 @@ func reorderFootprint(n int) int {
 	return n
 }
 
-// admitH2C delays start until the H2C concurrency and re-order buffer
-// admit the transfer.
-func (e *Engine) admitH2C(n int, start func()) {
-	foot := reorderFootprint(n)
+// admit delays start until the H2C concurrency and re-order buffer admit
+// the transfer.
+func (t *transfer) admit() {
+	e := t.e
+	foot := reorderFootprint(t.n)
 	if e.h2cInFlight < H2CConcurrency && e.reorderUsed+foot <= ReorderBufferBytes {
 		e.h2cInFlight++
 		e.reorderUsed += foot
-		e.eng.Schedule(0, start)
+		e.eng.Schedule(0, t.startFn)
 		return
 	}
 	// Stall: poll for capacity at descriptor-engine granularity.
 	e.stalls++
-	e.eng.Schedule(e.Cycles(e.cfg.DescriptorFetchCycles), func() { e.admitH2C(n, start) })
+	e.eng.Schedule(e.Cycles(e.cfg.DescriptorFetchCycles), t.admitFn)
+}
+
+// start fetches the descriptor and books the shared datapath.
+func (t *transfer) start() {
+	e := t.e
+	// Descriptor fetch by the Descriptor Engine.
+	fetch := e.Cycles(e.cfg.DescriptorFetchCycles)
+	// Streaming occupies the shared datapath FIFO-style.
+	wire := e.streamTime(t.n)
+	if e.pcieTime(t.n) > wire {
+		wire = e.pcieTime(t.n)
+	}
+	busStart := e.eng.Now().Add(fetch)
+	if e.busNextFree > busStart {
+		busStart = e.busNextFree
+	}
+	e.busNextFree = busStart.Add(wire)
+	completeAt := e.busNextFree.Add(e.Cycles(e.cfg.CompletionCycles))
+	e.eng.At(completeAt, t.completeFn)
+}
+
+// complete posts the completion entry, recycles the record and runs done.
+func (t *transfer) complete() {
+	e, qs, n, done := t.e, t.qs, t.n, t.done
+	e.transfers++
+	e.bytesMoved += uint64(n)
+	if t.dir == H2C {
+		qs.h2cPending--
+		e.h2cInFlight--
+		e.reorderUsed -= reorderFootprint(n)
+	} else {
+		qs.c2hPending--
+	}
+	qs.completions++
+	t.qs, t.done = nil, nil
+	e.free = append(e.free, t)
+	done()
 }
 
 // TransferWait is the Proc-blocking form of Transfer.

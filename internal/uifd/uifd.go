@@ -74,6 +74,9 @@ type Driver struct {
 
 	// Stats.
 	reads, writes uint64
+
+	// free holds idle cardReq records.
+	free []*cardReq
 }
 
 // Config sizes a tenant driver.
@@ -163,18 +166,53 @@ func (d *Driver) QueueSets() []*qdma.QueueSet { return d.queues }
 // Stats returns completed read and write counts.
 func (d *Driver) Stats() (reads, writes uint64) { return d.reads, d.writes }
 
+// cardReq is one block request's round trip through the driver: H2C
+// (command, plus payload for writes), the card pipeline, then C2H (data
+// for reads, a completion writeback for writes). Records are pooled per
+// driver with their steps bound once; a record returns to the pool just
+// before its block request ends.
+type cardReq struct {
+	d    *Driver
+	qs   *qdma.QueueSet
+	req  *blockmq.Request
+	creq CardRequest
+	perr error
+
+	processFn, finishFn, respondFn func()
+	doneFn                         func(error)
+}
+
+func (d *Driver) getCardReq() *cardReq {
+	if k := len(d.free); k > 0 {
+		r := d.free[k-1]
+		d.free[k-1] = nil
+		d.free = d.free[:k-1]
+		return r
+	}
+	r := &cardReq{d: d}
+	r.processFn, r.finishFn, r.respondFn = r.process, r.finish, r.respond
+	r.doneFn = r.processed
+	return r
+}
+
+func (d *Driver) putCardReq(r *cardReq) {
+	r.qs, r.req, r.creq, r.perr = nil, nil, CardRequest{}, nil
+	d.free = append(d.free, r)
+}
+
 // QueueRq implements blockmq.Driver: move the command/payload to the card,
 // run the card pipeline, and move the response/ack back.
 func (d *Driver) QueueRq(hctx int, req *blockmq.Request) bool {
 	if hctx < 0 || hctx >= len(d.queues) {
 		return false
 	}
-	qs := d.queueFor(hctx, req.Tenant)
 	tenant := d.tenant
 	if req.Tenant > 0 {
 		tenant = req.Tenant
 	}
-	creq := CardRequest{
+	r := d.getCardReq()
+	r.qs, r.req = d.queueFor(hctx, req.Tenant), req
+	r.creq = CardRequest{
 		Op:     req.Op,
 		Off:    req.Off,
 		Len:    req.Len,
@@ -183,14 +221,9 @@ func (d *Driver) QueueRq(hctx int, req *blockmq.Request) bool {
 		Tenant: tenant,
 		Trace:  req.Trace,
 	}
-	process := func() {
-		d.backend.Process(creq, func(perr error) {
-			d.respond(qs, req, perr)
-		})
-	}
 	if d.CMACOnly {
 		// Register path: fixed cost, no DMA.
-		d.eng.Schedule(d.cmacCost, process)
+		d.eng.Schedule(d.cmacCost, r.processFn)
 		return true
 	}
 	// H2C: writes carry the payload; reads carry only the command
@@ -200,37 +233,52 @@ func (d *Driver) QueueRq(hctx int, req *blockmq.Request) bool {
 		h2cLen = req.Len
 	}
 	desc := qdma.Descriptor{Src: uint64(req.Off), Len: uint32(req.Len)}
-	if err := qs.Transfer(qdma.H2C, h2cLen, desc, process); err != nil {
+	if err := r.qs.Transfer(qdma.H2C, h2cLen, desc, r.processFn); err != nil {
+		d.putCardReq(r)
 		return false // ring full: MQ layer will retry after a completion
 	}
 	return true
 }
 
+// process runs the card pipeline once the command has crossed PCIe.
+func (r *cardReq) process() { r.d.backend.Process(r.creq, r.doneFn) }
+
+// processed records the card pipeline's outcome and starts the response.
+func (r *cardReq) processed(perr error) {
+	r.perr = perr
+	r.respond()
+}
+
 // respond returns data (reads) or a completion writeback (writes) to the
-// host and ends the block request.
-func (d *Driver) respond(qs *qdma.QueueSet, req *blockmq.Request, perr error) {
+// host; finish then ends the block request.
+func (r *cardReq) respond() {
+	d, req := r.d, r.req
 	c2hLen := CompletionBytes
 	if req.Op == blockmq.OpRead {
 		c2hLen = req.Len
 	}
-	finish := func() {
-		if req.Op == blockmq.OpRead {
-			d.reads++
-		} else {
-			d.writes++
-		}
-		req.EndIO(perr)
-	}
 	if d.CMACOnly {
-		d.eng.Schedule(d.cmacCost, finish)
+		d.eng.Schedule(d.cmacCost, r.finishFn)
 		return
 	}
 	desc := qdma.Descriptor{Dst: uint64(req.Off), Len: uint32(c2hLen)}
-	if err := qs.Transfer(qdma.C2H, c2hLen, desc, finish); err != nil {
+	if err := r.qs.Transfer(qdma.C2H, c2hLen, desc, r.finishFn); err != nil {
 		// The C2H ring being full delays the response; retry at descriptor
 		// granularity rather than dropping the I/O.
-		d.eng.Schedule(d.qdma.Cycles(64), func() { d.respond(qs, req, perr) })
+		d.eng.Schedule(d.qdma.Cycles(64), r.respondFn)
 	}
+}
+
+// finish counts the I/O, recycles the record and ends the block request.
+func (r *cardReq) finish() {
+	d, req, perr := r.d, r.req, r.perr
+	if req.Op == blockmq.OpRead {
+		d.reads++
+	} else {
+		d.writes++
+	}
+	d.putCardReq(r)
+	req.EndIO(perr)
 }
 
 // Tenancy manages multiple tenant drivers over one card.
