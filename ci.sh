@@ -47,16 +47,18 @@ go test -race -count=1 -run 'TestShard|TestEngineReserve|TestFreelistCap|TestHea
 go test -race -count=1 -run 'TestScale' ./internal/rados/ ./internal/experiments/
 
 # One concurrency model: every stack, workload generator and cluster daemon
-# is a continuation, not a proc. Pin that no stack shape spawns a Proc from
-# NewTestbed through Close or leaves a goroutine behind, that fio's workers
-# spawn none, that a warm CQE reap allocates nothing, that every stack
+# is a continuation, and the engine runs only events. Pin that no stack
+# shape leaves a goroutine behind from NewTestbed through Close, that fio's
+# workers start none, that no non-test file imports the simtest proc
+# driver, that a warm CQE reap allocates nothing, that every stack
 # fails a submission after Close exactly once, that a warm OSD submit+service
 # allocates nothing, that the fan-out issue paths and the client's warm
 # replicated round trips allocate nothing beyond EC shard keys, that shard
-# keys cost one allocation, that the client's proc wrappers survive a
-# synchronous failure and an early-stopped EC read, that the shared retry
-# driver keeps its contract, and that a Resource stays FIFO across proc and
-# callback waiters — under the race detector. The card path rides along:
+# keys cost one allocation, that a test proc blocked on the client survives
+# a synchronous failure and an early-stopped EC read, that the shared retry
+# driver keeps its contract, that a Resource stays FIFO across a driver's
+# event hops and callback waiters, and that a test proc's Block resumes
+# where its wake runs — under the race detector. The card path rides along:
 # a zero-length I/O completes once on every stack shape, the card's
 # placement equals uncached CRUSH for every pg (and a placement error fails
 # the extent before any fan-out), a warm card write allocates nothing, and
@@ -77,8 +79,9 @@ go test -race -count=1 -run 'TestRunSpawnsNoProcs' ./internal/fio/
 go test -race -count=1 -run 'TestObjectNameMemoPin|TestExtentsIntoBufferZeroAlloc' ./internal/rbd/
 go test -race -count=1 -run 'TestOSDSubmitAllocBound|TestShardKeyOneAlloc|TestClientSynchronousFailure|TestECReadStopsAtFailedShard|TestClientReplicatedAllocPin|TestRetryDriver' \
     ./internal/rados/
-go test -race -count=1 -run 'TestResourceFIFOMixedWaiters|TestAcquireFuncRespectsQueue|TestBlockSynchronousWake|TestResourceBacklogBounded' \
+go test -race -count=1 -run 'TestResourceFIFOMixedWaiters|TestAcquireFuncRespectsQueue|TestResourceBacklogBounded' \
     ./internal/sim/
+go test -race -count=1 -run 'TestNoNonTestImports|TestBlockSynchronousWake' ./internal/sim/simtest/
 
 # The window workers only run concurrently when GOMAXPROCS > 1, and the
 # solo path only runs at 1, so pin both: the shard protocol tests, the
@@ -86,8 +89,8 @@ go test -race -count=1 -run 'TestResourceFIFOMixedWaiters|TestAcquireFuncRespect
 # from two shard workers) at GOMAXPROCS=1 and 4, plus the card write alloc
 # pin, which fills the image's lazy object-name memo. GOMAXPROCS may exceed
 # the CPU count, so this exercises the concurrent path on a 1-CPU box too.
-# The continuation-path pins ride along, so the no-procs, reap, close,
-# host-block-path and fio checks hold at either setting.
+# The continuation-path pins ride along, so the no-leaked-goroutine, reap,
+# close, host-block-path and fio checks hold at either setting.
 echo "== window workers at GOMAXPROCS=1 and 4 =="
 for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestShard|TestEngineReserve|TestFreelistCap|TestHeapRandomOrder' \
@@ -101,6 +104,15 @@ for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestCoalescedWaitersFireOnceInOrder' ./internal/lsvd/
     GOMAXPROCS=$procs go test -count=1 -run 'TestRunSpawnsNoProcs' ./internal/fio/
 done
+
+# The examples and the DFX tool's live-swap exercise are end-to-end
+# scenarios on the continuation model; each exits non-zero when one of its
+# checks fails.
+echo "== examples smoke (examples/* + dfxtool -exercise) =="
+for ex in examples/*/; do
+    go run "./$ex" > /dev/null
+done
+go run ./cmd/dfxtool -exercise > /dev/null
 
 # Write-back cache tier: the LSVD log/index/flush machinery runs a
 # background flusher continuation inside the simulation plus the

@@ -81,17 +81,23 @@ func main() {
 
 	if *exercise {
 		fmt.Println("\nlive swap exercise (static region keeps serving):")
-		eng.Spawn("swap", func(p *sim.Proc) {
-			for _, k := range []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree} {
-				start := p.Now()
-				if err := shell.LoadDynKernel(p, k); err != nil {
-					fmt.Println("  swap error:", err)
-					return
+		kernels := []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree}
+		var swap func(i int)
+		swap = func(i int) {
+			if i == len(kernels) {
+				return
+			}
+			k, start := kernels[i], eng.Now()
+			eng.AwaitFunc(func(done func(error)) { shell.LoadDynKernel(k, done) }, func(err error) {
+				if err != nil {
+					fatal(fmt.Errorf("swap to %v: %w", k, err))
 				}
 				fmt.Printf("  loaded %-8v in %v (power now %.1f W)\n",
-					k, p.Now().Sub(start), shell.Power())
-			}
-		})
+					k, eng.Now().Sub(start), shell.Power())
+				swap(i + 1)
+			})
+		}
+		eng.Schedule(0, func() { swap(0) })
 		eng.Run()
 		fmt.Printf("reconfigurations: %d, cumulative reconfig time: %v\n",
 			shell.RP.Reconfigs(), shell.RP.TotalReconfigTime())

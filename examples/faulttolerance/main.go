@@ -52,14 +52,24 @@ func main() {
 		}
 	}
 
-	eng.Spawn("demo", func(p *sim.Proc) {
-		fmt.Println("writing 8 x 16 kB extents into the EC(4+2) image...")
-		for i, data := range payloads {
-			if err := writeAt(p, client, img, int64(i)*chunk, data); err != nil {
+	// The demo runs as a chain of continuations: each step starts inside
+	// the event that completes the previous one.
+	var writeNext, readNext func(i int)
+	var failAndRead func()
+
+	writeNext = func(i int) {
+		if i == len(payloads) {
+			failAndRead()
+			return
+		}
+		writeAt(client, img, int64(i)*chunk, payloads[i], func(err error) {
+			if err != nil {
 				log.Fatalf("write %d: %v", i, err)
 			}
-		}
-
+			writeNext(i + 1)
+		})
+	}
+	failAndRead = func() {
 		// Fail two OSDs that hold shards of extent 0.
 		acting, err := cluster.ActingSet(ecPool, cluster.PGOf(ecPool, img.ObjectName(0)))
 		if err != nil {
@@ -71,72 +81,107 @@ func main() {
 		fmt.Printf("failed osd.%d and osd.%d (two data shards lost)\n", acting[0], acting[1])
 
 		fmt.Println("reading everything back (degraded, reconstructing)...")
-		for i, want := range payloads {
-			got, err := readAt(p, client, img, int64(i)*chunk, chunk)
+		readNext(0)
+	}
+	readNext = func(i int) {
+		if i == len(payloads) {
+			fmt.Println("all extents intact: Reed-Solomon reconstruction verified ✔")
+			remapDemo(cluster, replPool)
+			return
+		}
+		readAt(client, img, int64(i)*chunk, chunk, func(got []byte, err error) {
 			if err != nil {
 				log.Fatalf("degraded read %d: %v", i, err)
 			}
-			if !bytes.Equal(got, want) {
+			if !bytes.Equal(got, payloads[i]) {
 				log.Fatalf("extent %d corrupted after reconstruction", i)
 			}
-		}
-		fmt.Println("all extents intact: Reed-Solomon reconstruction verified ✔")
-
-		// CRUSH remapping demo on the replicated pool.
-		reweight := make([]uint32, cluster.Map.MaxDevices())
-		for i := range reweight {
-			reweight[i] = crush.WeightOne
-		}
-		const failed = 5
-		reweight[failed] = 0
-		moved := 0
-		const samples = 2000
-		for x := uint32(0); x < samples; x++ {
-			before, _ := cluster.Map.Select(cluster.Map.Rule("replicated_osd"), x, replPool.Size, nil)
-			after, _ := cluster.Map.Select(cluster.Map.Rule("replicated_osd"), x, replPool.Size, reweight)
-			if !equalSets(before, after) {
-				moved++
-			}
-		}
-		fmt.Printf("CRUSH: marking osd.%d out remaps %.1f%% of placements (ideal ≈ %.1f%%)\n",
-			failed, 100*float64(moved)/samples, 100*float64(replPool.Size)/32)
+			readNext(i + 1)
+		})
+	}
+	eng.Schedule(0, func() {
+		fmt.Println("writing 8 x 16 kB extents into the EC(4+2) image...")
+		writeNext(0)
 	})
 	eng.Run()
 	fmt.Printf("simulation finished at t=%v\n", eng.Now())
 }
 
-// writeAt stores data at a virtual offset of the image, one rados write
-// per backing-object extent.
-func writeAt(p *sim.Proc, client *rados.Client, img *rbd.Image, off int64, data []byte) error {
-	exts, err := img.Extents(nil, off, len(data))
-	if err != nil {
-		return err
+// remapDemo shows CRUSH remapping the replicated pool's placements around
+// a device marked out.
+func remapDemo(cluster *rados.Cluster, replPool *rados.Pool) {
+	reweight := make([]uint32, cluster.Map.MaxDevices())
+	for i := range reweight {
+		reweight[i] = crush.WeightOne
 	}
-	for _, e := range exts {
-		if err := client.Write(p, img.Pool, e.Object, e.Off, data[:e.Len]); err != nil {
-			return err
+	const failed = 5
+	reweight[failed] = 0
+	moved := 0
+	const samples = 2000
+	for x := uint32(0); x < samples; x++ {
+		before, _ := cluster.Map.Select(cluster.Map.Rule("replicated_osd"), x, replPool.Size, nil)
+		after, _ := cluster.Map.Select(cluster.Map.Rule("replicated_osd"), x, replPool.Size, reweight)
+		if !equalSets(before, after) {
+			moved++
 		}
-		data = data[e.Len:]
 	}
-	return nil
+	fmt.Printf("CRUSH: marking osd.%d out remaps %.1f%% of placements (ideal ≈ %.1f%%)\n",
+		failed, 100*float64(moved)/samples, 100*float64(replPool.Size)/32)
 }
 
-// readAt returns n bytes at a virtual offset of the image, one rados read
-// per backing-object extent.
-func readAt(p *sim.Proc, client *rados.Client, img *rbd.Image, off int64, n int) ([]byte, error) {
+// writeAt stores data at a virtual offset of the image, one rados write
+// per backing-object extent in turn, and calls done after the last.
+func writeAt(client *rados.Client, img *rbd.Image, off int64, data []byte, done func(error)) {
+	exts, err := img.Extents(nil, off, len(data))
+	if err != nil {
+		done(err)
+		return
+	}
+	var next func(i int)
+	next = func(i int) {
+		if i == len(exts) {
+			done(nil)
+			return
+		}
+		e := exts[i]
+		client.WriteAsync(img.Pool, e.Object, e.Off, data[:e.Len], rados.ReqOpts{}, func(err error) {
+			if err != nil {
+				done(err)
+				return
+			}
+			data = data[e.Len:]
+			next(i + 1)
+		})
+	}
+	next(0)
+}
+
+// readAt reads n bytes at a virtual offset of the image, one rados read
+// per backing-object extent in turn, and hands them to done.
+func readAt(client *rados.Client, img *rbd.Image, off int64, n int, done func([]byte, error)) {
 	exts, err := img.Extents(nil, off, n)
 	if err != nil {
-		return nil, err
+		done(nil, err)
+		return
 	}
 	out := make([]byte, 0, n)
-	for _, e := range exts {
-		b, err := client.Read(p, img.Pool, e.Object, e.Off, e.Len)
-		if err != nil {
-			return nil, err
+	var next func(i int)
+	next = func(i int) {
+		if i == len(exts) {
+			done(out, nil)
+			return
 		}
-		out = append(out, b...)
+		e := exts[i]
+		client.ReadAsync(img.Pool, e.Object, e.Off, e.Len, rados.ReqOpts{}, func(b []byte, err error) {
+			if err != nil {
+				done(nil, err)
+				return
+			}
+			out = append(out, b...)
+			next(i + 1)
+		})
 	}
-	return out, nil
+	next(0)
 }
 
 func equalSets(a, b []int) bool {

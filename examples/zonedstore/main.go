@@ -31,55 +31,83 @@ func main() {
 	fmt.Printf("ZNS namespace: %d zones x %d MiB (%d GiB), max %d open zones\n",
 		dev.Zones(), (64<<20)/(1<<20), dev.Size()>>30, 14)
 
-	eng.Spawn("demo", func(p *sim.Proc) {
-		// 1. Sequential writes into zone 0 through the block layer.
-		fmt.Println("\n1. sequential writes into zone 0:")
-		for i := 0; i < 4; i++ {
-			c := eng.NewCompletion()
-			mq.Submit(p, blockmq.OpWrite, int64(i)*65536, 65536, 0,
-				func(err error) { c.Complete(nil, err) })
-			if _, err := p.Await(c); err != nil {
+	// The demo runs as a chain of continuations. Each step waits for the
+	// previous one with AwaitFunc, which resumes one event after it
+	// completes.
+	write := func(off int64, n int) func(done func(error)) {
+		return func(done func(error)) {
+			mq.SubmitAsync(blockmq.OpWrite, off, n, 0, 0, done)
+		}
+	}
+	var writeNext, appendNext func(i int)
+	var violate, reset func()
+
+	// 1. Sequential writes into zone 0 through the block layer.
+	writeNext = func(i int) {
+		if i == 4 {
+			z, _ := dev.Zone(0)
+			fmt.Printf("   wrote 4 x 64 kB; zone 0 state=%v wp=%d kB\n", z.State, z.WP/1024)
+			violate()
+			return
+		}
+		eng.AwaitFunc(write(int64(i)*65536, 65536), func(err error) {
+			if err != nil {
 				log.Fatalf("  write %d: %v", i, err)
 			}
-		}
-		z, _ := dev.Zone(0)
-		fmt.Printf("   wrote 4 x 64 kB; zone 0 state=%v wp=%d kB\n", z.State, z.WP/1024)
-
-		// 2. A write that violates the write pointer fails cleanly.
+			writeNext(i + 1)
+		})
+	}
+	// 2. A write that violates the write pointer fails cleanly.
+	violate = func() {
 		fmt.Println("\n2. write-pointer violation:")
-		c := eng.NewCompletion()
-		mq.Submit(p, blockmq.OpWrite, 1<<20, 4096, 0,
-			func(err error) { c.Complete(nil, err) })
-		if _, err := p.Await(c); err != nil {
+		eng.AwaitFunc(write(1<<20, 4096), func(err error) {
+			if err == nil {
+				log.Fatal("   contract violation was accepted!")
+			}
 			fmt.Printf("   rejected as expected: %v\n", err)
-		} else {
-			log.Fatal("   contract violation was accepted!")
+			fmt.Println("\n3. zone append into zone 5:")
+			appendNext(0)
+		})
+	}
+	// 3. Zone append lets the device pick the offset.
+	appendNext = func(i int) {
+		if i == 3 {
+			reset()
+			return
 		}
-
-		// 3. Zone append lets the device pick the offset.
-		fmt.Println("\n3. zone append into zone 5:")
-		for i := 0; i < 3; i++ {
-			off, err := drv.AppendWait(p, 5, 16384)
+		var off int64
+		appendOne := func(done func(error)) {
+			drv.Append(5, 16384, func(o int64, err error) {
+				off = o
+				done(err)
+			})
+		}
+		eng.AwaitFunc(appendOne, func(err error) {
 			if err != nil {
 				log.Fatalf("  append: %v", err)
 			}
 			fmt.Printf("   appended 16 kB at offset %d\n", off)
-		}
-
-		// 4. Reset and reuse.
+			appendNext(i + 1)
+		})
+	}
+	// 4. Reset and reuse.
+	reset = func() {
 		fmt.Println("\n4. zone reset:")
-		cr := eng.NewCompletion()
-		drv.ResetZone(0, func(err error) { cr.Complete(nil, err) })
-		if _, err := p.Await(cr); err != nil {
-			log.Fatal(err)
-		}
-		cw := eng.NewCompletion()
-		mq.Submit(p, blockmq.OpWrite, 0, 4096, 0,
-			func(err error) { cw.Complete(nil, err) })
-		if _, err := p.Await(cw); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("   zone 0 reset and rewritten from the start ✔")
+		eng.AwaitFunc(func(done func(error)) { drv.ResetZone(0, done) }, func(err error) {
+			if err != nil {
+				log.Fatal(err)
+			}
+			eng.AwaitFunc(write(0, 4096), func(err error) {
+				if err != nil {
+					log.Fatal(err)
+				}
+				fmt.Println("   zone 0 reset and rewritten from the start ✔")
+			})
+		})
+	}
+	eng.Schedule(0, func() {
+		fmt.Println("\n1. sequential writes into zone 0:")
+		writeNext(0)
 	})
 	eng.Run()
 

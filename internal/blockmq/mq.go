@@ -121,26 +121,14 @@ func (mq *MQ) Latency() *metrics.Histogram { return mq.latency }
 // TagsAvailable reports free tags on a hardware context.
 func (mq *MQ) TagsAvailable(hctx int) int { return mq.tags[hctx].available() }
 
-// Submit sends a request into the block layer from proc context. The
-// returned request has been queued (or directly issued); its callback fires
-// at completion. The caller supplies the completion callback.
+// SubmitAsync sends a request into the block layer: after the layer's CPU
+// cost (as scheduling delay) the request is staged or directly issued, and
+// done fires at completion. flags carries request hints.
 //
-// Requests are pooled: the *Request that Submit and the SubmitAsync forms
-// return is valid only until its callbacks have fired. A request a
-// scheduler merges into another goes back to the pool as soon as it is
-// merged; its callbacks ride the carrier request.
-func (mq *MQ) Submit(p *sim.Proc, op OpType, off int64, length int, cpu int, done func(err error)) *Request {
-	req := mq.newRequest(op, off, length, 0, cpu, done)
-	if cost := mq.pathCost(); cost > 0 {
-		p.Sleep(cost)
-	}
-	mq.place(req)
-	return req
-}
-
-// SubmitAsync is Submit from event context (e.g. an io_uring SQPOLL drain):
-// the layer's CPU cost is applied as scheduling delay instead of a proc
-// sleep. flags carries request hints.
+// Requests are pooled: the *Request the SubmitAsync forms return is valid
+// only until its callbacks have fired. A request a scheduler merges into
+// another goes back to the pool as soon as it is merged; its callbacks ride
+// the carrier request.
 func (mq *MQ) SubmitAsync(op OpType, off int64, length int, flags uint32, cpu int, done func(err error)) *Request {
 	return mq.SubmitAsyncTraced(op, off, length, flags, cpu, trace.Ref{}, done)
 }

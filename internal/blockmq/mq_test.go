@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // fakeDevice completes requests after a fixed latency with bounded
@@ -50,9 +51,9 @@ func TestSubmitComplete(t *testing.T) {
 	dev := newFakeDevice(eng, 10*sim.Microsecond, 0)
 	mq := newMQT(t, eng, Config{CPUs: 2, HWQueues: 2, TagsPerHW: 8}, dev)
 	completions := 0
-	eng.Spawn("app", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		for i := 0; i < 5; i++ {
-			mq.Submit(p, OpRead, int64(i*4096), 4096, 0, func(err error) {
+			mq.SubmitAsync(OpRead, int64(i*4096), 4096, 0, 0, func(err error) {
 				if err != nil {
 					t.Errorf("completion err: %v", err)
 				}
@@ -78,9 +79,9 @@ func TestTagExhaustionBackpressure(t *testing.T) {
 	dev := newFakeDevice(eng, 100*sim.Microsecond, 0)
 	mq := newMQT(t, eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 2}, dev)
 	var doneTimes []sim.Time
-	eng.Spawn("app", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		for i := 0; i < 4; i++ {
-			mq.Submit(p, OpWrite, int64(i)*1e6, 4096, 0, func(err error) {
+			mq.SubmitAsync(OpWrite, int64(i)*1e6, 4096, 0, 0, func(err error) {
 				doneTimes = append(doneTimes, eng.Now())
 			})
 		}
@@ -100,13 +101,13 @@ func TestDeviceBusyRequeue(t *testing.T) {
 	dev := newFakeDevice(eng, 50*sim.Microsecond, 1) // device accepts 1 at a time
 	mq := newMQT(t, eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 8}, dev)
 	done := 0
-	eng.Spawn("app", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
-			mq.Submit(p, OpRead, 0, 512, 0, func(error) { done++ })
+			mq.SubmitAsync(OpRead, 0, 512, 0, 0, func(error) { done++ })
 		}
 	})
 	// Device completions must re-kick the queue.
-	eng.Spawn("kicker", func(p *sim.Proc) {
+	simtest.Spawn(eng, "kicker", func(p *simtest.Proc) {
 		for i := 0; i < 20; i++ {
 			p.Sleep(20 * sim.Microsecond)
 			mq.Kick()
@@ -125,9 +126,9 @@ func TestHCtxMapping(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := newFakeDevice(eng, sim.Microsecond, 0)
 	mq := newMQT(t, eng, Config{CPUs: 4, HWQueues: 4, TagsPerHW: 4}, dev)
-	eng.Spawn("app", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		for cpu := 0; cpu < 4; cpu++ {
-			mq.Submit(p, OpRead, 0, 512, cpu, nil)
+			mq.SubmitAsync(OpRead, 0, 512, 0, cpu, nil)
 		}
 	})
 	eng.Run()
@@ -147,9 +148,9 @@ func TestBypassDirectIssue(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := newFakeDevice(eng, sim.Microsecond, 0)
 	mq := newMQT(t, eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 8, Bypass: true}, dev)
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		for i := 0; i < 5; i++ {
-			mq.Submit(p, OpWrite, int64(i)*4096, 4096, 0, nil)
+			mq.SubmitAsync(OpWrite, int64(i)*4096, 4096, 0, 0, nil)
 			p.Sleep(5 * sim.Microsecond) // let each complete
 		}
 	})
@@ -190,12 +191,12 @@ func TestDeadlineSchedulerMerging(t *testing.T) {
 	dev := newFakeDevice(eng, 100*sim.Microsecond, 0)
 	mq := newMQT(t, eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 1, Scheduler: sched}, dev)
 	done := 0
-	eng.Spawn("app", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		// One request occupies the single tag; the next three contiguous
 		// writes pile up in the scheduler and merge.
-		mq.Submit(p, OpWrite, 1<<20, 4096, 0, func(error) { done++ })
+		mq.SubmitAsync(OpWrite, 1<<20, 4096, 0, 0, func(error) { done++ })
 		for i := 0; i < 3; i++ {
-			mq.Submit(p, OpWrite, int64(4096*i), 4096, 0, func(error) { done++ })
+			mq.SubmitAsync(OpWrite, int64(4096*i), 4096, 0, 0, func(error) { done++ })
 		}
 	})
 	eng.Run()
@@ -302,9 +303,9 @@ func TestMQConservationProperty(t *testing.T) {
 			return false
 		}
 		completions := 0
-		eng.Spawn("app", func(p *sim.Proc) {
+		eng.Schedule(0, func() {
 			for i, op := range ops {
-				mq.Submit(p, OpType(op%2), int64(i)*4096, 4096, i%3,
+				mq.SubmitAsync(OpType(op%2), int64(i)*4096, 4096, 0, i%3,
 					func(error) { completions++ })
 			}
 		})
@@ -329,8 +330,8 @@ func TestEndIOTwicePanics(t *testing.T) {
 	dev := newFakeDevice(eng, 0, 0)
 	mq := newMQT(t, eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 1}, dev)
 	var req *Request
-	eng.Spawn("app", func(p *sim.Proc) {
-		req = mq.Submit(p, OpRead, 0, 512, 0, nil)
+	eng.Schedule(0, func() {
+		req = mq.SubmitAsync(OpRead, 0, 512, 0, 0, nil)
 	})
 	eng.Run()
 	defer func() {

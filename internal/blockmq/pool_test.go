@@ -102,13 +102,13 @@ func TestMergedCallbacksFireOnceAndCarrierNotReused(t *testing.T) {
 	fired := make([]int, bios+1)
 	pending := bios
 	followUps := 0
-	eng.Spawn("app", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		// The first request holds the only tag; the next bios contiguous
 		// writes merge into one carrier behind it.
-		mq.Submit(p, OpWrite, 1<<20, 4096, 0, func(error) { fired[bios]++ })
+		mq.SubmitAsync(OpWrite, 1<<20, 4096, 0, 0, func(error) { fired[bios]++ })
 		for i := 0; i < bios; i++ {
 			i := i
-			mq.Submit(p, OpWrite, int64(4096*i), 4096, 0, func(err error) {
+			mq.SubmitAsync(OpWrite, int64(4096*i), 4096, 0, 0, func(err error) {
 				fired[i]++
 				pending--
 				if dev.carrier == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // TestParseCacheSpec covers the '+'-extended named-base form, the cache
@@ -113,12 +114,12 @@ func readLatency(t *testing.T, tb *Testbed, spec string) sim.Duration {
 		t.Fatal(err)
 	}
 	var lat sim.Duration
-	tb.Eng.Spawn("io", func(p *sim.Proc) {
-		if err := Do(p, stack, Write, Rand, 0, 4096, 0); err != nil {
+	simtest.Spawn(tb.Eng, "io", func(p *simtest.Proc) {
+		if err := do(p, stack, Write, Rand, 0, 4096, 0); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		start := p.Now()
-		if err := Do(p, stack, Read, Rand, 0, 4096, 0); err != nil {
+		if err := do(p, stack, Read, Rand, 0, 4096, 0); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		lat = p.Now().Sub(start)

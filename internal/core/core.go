@@ -9,12 +9,7 @@
 // generator and the experiment harnesses drive them interchangeably.
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/rados"
-	"repro/internal/sim"
-)
+import "fmt"
 
 // OpType is a block I/O direction.
 type OpType int
@@ -102,28 +97,4 @@ func (g Generation) String() string {
 	default:
 		return fmt.Sprintf("generation(%d)", int(g))
 	}
-}
-
-// Do runs one I/O synchronously on a proc (convenience for tests and
-// latency-mode benchmarks).
-func Do(p *sim.Proc, s Stack, op OpType, pattern Pattern, off int64, n int, cpu int) error {
-	return DoDeadline(p, s, op, pattern, off, n, cpu, 0)
-}
-
-// DoDeadline is Do with a per-op deadline: it returns rados.ErrDeadline if
-// the I/O has not completed after d. The abandoned I/O keeps running in the
-// stack (its eventual completion is dropped), mirroring a timed-out block
-// request. d <= 0 waits forever.
-func DoDeadline(p *sim.Proc, s Stack, op OpType, pattern Pattern, off int64, n int, cpu int, d sim.Duration) error {
-	c := p.Engine().NewCompletion()
-	s.Submit(op, pattern, off, n, cpu, func(err error) { c.Complete(nil, err) })
-	if d <= 0 {
-		_, err := p.Await(c)
-		return err
-	}
-	_, err, ok := p.AwaitTimeout(c, d)
-	if !ok {
-		return rados.ErrDeadline
-	}
-	return err
 }

@@ -3,8 +3,46 @@ package core
 import (
 	"testing"
 
+	"repro/internal/rados"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
+
+// do runs one I/O from a test proc and returns its outcome.
+func do(p *simtest.Proc, s Stack, op OpType, pattern Pattern, off int64, n int, cpu int) error {
+	return doDeadline(p, s, op, pattern, off, n, cpu, 0)
+}
+
+// doDeadline is do with a per-op deadline: it returns rados.ErrDeadline if
+// the I/O has not completed after d, and the abandoned I/O keeps running
+// in the stack. d <= 0 waits forever. Like a proc awaiting a one-shot
+// completion, the proc resumes one event after the I/O completes
+// (Engine.AwaitFunc), or at once when it completes synchronously.
+func doDeadline(p *simtest.Proc, s Stack, op OpType, pattern Pattern, off int64, n int, cpu int, d sim.Duration) error {
+	eng := p.Engine()
+	var err error
+	p.Block(func(wake func()) {
+		waiting := true
+		var timer sim.EventID
+		eng.AwaitFunc(func(done func(error)) { s.Submit(op, pattern, off, n, cpu, done) }, func(e error) {
+			if !waiting {
+				return // the deadline already resumed the proc
+			}
+			waiting = false
+			eng.Cancel(timer)
+			err = e
+			wake()
+		})
+		if waiting && d > 0 {
+			timer = eng.Schedule(d, func() {
+				waiting = false
+				err = rados.ErrDeadline
+				wake()
+			})
+		}
+	})
+	return err
+}
 
 // measureQD1 runs ops sequential operations at queue depth 1 and returns
 // the mean latency.
@@ -21,7 +59,7 @@ func measureQD1(t *testing.T, kind StackKind, ec bool, op OpType, pattern Patter
 		t.Fatal(err)
 	}
 	var total sim.Duration
-	tb.Eng.Spawn("bench", func(p *sim.Proc) {
+	simtest.Spawn(tb.Eng, "bench", func(p *simtest.Proc) {
 		rng := sim.NewRNG(1)
 		for i := 0; i < ops; i++ {
 			var off int64
@@ -31,7 +69,7 @@ func measureQD1(t *testing.T, kind StackKind, ec bool, op OpType, pattern Patter
 				off = int64(i*size) % (tb.Cfg.ImageBytes - int64(size))
 			}
 			start := p.Now()
-			if err := Do(p, stack, op, pattern, off, size, i%DKInstances); err != nil {
+			if err := do(p, stack, op, pattern, off, size, i%DKInstances); err != nil {
 				t.Errorf("op %d: %v", i, err)
 				return
 			}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/fpga"
 	"repro/internal/rados"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // TestSixStageLifecycleCounters drives one DK-HW write end to end and
@@ -22,9 +23,9 @@ func TestSixStageLifecycleCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	dk := stack.(*pipelineStack)
-	tb.Eng.Spawn("io", func(p *sim.Proc) {
+	simtest.Spawn(tb.Eng, "io", func(p *simtest.Proc) {
 		for i := 0; i < 8; i++ {
-			if err := Do(p, stack, Write, Seq, int64(i)*4096, 4096, i%DKInstances); err != nil {
+			if err := do(p, stack, Write, Seq, int64(i)*4096, 4096, i%DKInstances); err != nil {
 				t.Errorf("write %d: %v", i, err)
 			}
 		}
@@ -105,9 +106,9 @@ func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 
 	const ops = 150
 	failures := 0
-	tb.Eng.Spawn("load", func(p *sim.Proc) {
+	simtest.Spawn(tb.Eng, "load", func(p *simtest.Proc) {
 		for i := 0; i < ops; i++ {
-			if err := Do(p, stack, Write, Rand, int64(i%512)*4096, 4096, i%DKInstances); err != nil {
+			if err := do(p, stack, Write, Rand, int64(i%512)*4096, 4096, i%DKInstances); err != nil {
 				failures++
 			}
 			if i == 30 {
@@ -139,14 +140,14 @@ func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 	// And the dead OSD no longer receives traffic once ejected: write more
 	// and check its counter stays put.
 	before := tb.Cluster.OSDs[9].Served()
-	tb.Eng.Spawn("post", func(p *sim.Proc) {
+	simtest.Spawn(tb.Eng, "post", func(p *simtest.Proc) {
 		stack2, err := tb.NewStack(StackD2SW, false) // fresh stack on same testbed
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		for i := 0; i < 40; i++ {
-			Do(p, stack2, Write, Rand, int64(i)*8192, 4096, 0)
+			do(p, stack2, Write, Rand, int64(i)*8192, 4096, 0)
 		}
 		stack2.Close()
 	})

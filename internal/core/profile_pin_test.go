@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/trace"
 )
 
@@ -152,9 +153,9 @@ func driveStagePin(t *testing.T, tb *Testbed, stack Stack, bs int) {
 			ops[i] = o
 		}
 		cpu := w
-		tb.Eng.Spawn("stage-pin", func(p *sim.Proc) {
+		simtest.Spawn(tb.Eng, "stage-pin", func(p *simtest.Proc) {
 			for i, o := range ops {
-				if err := Do(p, stack, o.kind, Rand, o.off, o.n, cpu); err != nil {
+				if err := do(p, stack, o.kind, Rand, o.off, o.n, cpu); err != nil {
 					t.Errorf("op %d: %v", i, err)
 					return
 				}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 func TestStageProfileRecordsPipeline(t *testing.T) {
@@ -20,14 +21,14 @@ func TestStageProfileRecordsPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Eng.Spawn("io", func(p *sim.Proc) {
+	simtest.Spawn(tb.Eng, "io", func(p *simtest.Proc) {
 		for i := 0; i < 10; i++ {
-			if err := Do(p, stack, Write, Rand, int64(i)*8192, 8192, 0); err != nil {
+			if err := do(p, stack, Write, Rand, int64(i)*8192, 8192, 0); err != nil {
 				t.Errorf("op %d: %v", i, err)
 			}
 		}
 		for i := 0; i < 5; i++ {
-			if err := Do(p, stack, Read, Rand, int64(i)*8192, 8192, 0); err != nil {
+			if err := do(p, stack, Read, Rand, int64(i)*8192, 8192, 0); err != nil {
 				t.Errorf("read %d: %v", i, err)
 			}
 		}
@@ -94,7 +95,7 @@ func splitProfileFingerprint(t *testing.T, seed uint64) (*StageProfile, string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Eng.Spawn("split-profiled-io", func(p *sim.Proc) {
+	simtest.Spawn(tb.Eng, "split-profiled-io", func(p *simtest.Proc) {
 		rng := sim.NewRNG(seed)
 		for i := 0; i < 200; i++ {
 			op := Write
@@ -102,7 +103,7 @@ func splitProfileFingerprint(t *testing.T, seed uint64) (*StageProfile, string) 
 				op = Read
 			}
 			off := int64(rng.Intn(256)) * 4096
-			if err := Do(p, stack, op, Rand, off, 4096, 0); err != nil {
+			if err := do(p, stack, op, Rand, off, 4096, 0); err != nil {
 				t.Errorf("op %d: %v", i, err)
 				return
 			}

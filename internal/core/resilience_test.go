@@ -8,6 +8,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rados"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // newResilientHarness builds a jitter-free testbed with the default
@@ -205,8 +206,7 @@ func newSWClientHarness(t *testing.T) (*Testbed, *rados.Client) {
 	return tbd, cl
 }
 
-// TestClientWriteRetriesAfterCrash exercises the proc-blocking software
-// client: the primary crashes mid-service, the aborted attempt surfaces
+// TestClientWriteRetriesAfterCrash exercises the software client: the primary crashes mid-service, the aborted attempt surfaces
 // ErrOSDDown to the retry driver, and the re-issue lands on the new primary.
 func TestClientWriteRetriesAfterCrash(t *testing.T) {
 	tbd, cl := newSWClientHarness(t)
@@ -215,9 +215,10 @@ func TestClientWriteRetriesAfterCrash(t *testing.T) {
 	osd.SetSlow(500)
 	var gotErr error
 	completed := false
-	tbd.Eng.Spawn("writer", func(p *sim.Proc) {
-		gotErr = cl.Write(p, tbd.ReplPool, obj, 0, make([]byte, 4096))
-		completed = true
+	tbd.Eng.Schedule(0, func() {
+		cl.WriteAsync(tbd.ReplPool, obj, 0, make([]byte, 4096), rados.ReqOpts{}, func(err error) {
+			gotErr, completed = err, true
+		})
 	})
 	tbd.Eng.Schedule(500*sim.Microsecond, func() { osd.SetUp(false) })
 	tbd.Eng.Run()
@@ -244,9 +245,10 @@ func TestClientReadDeadlineFailsOver(t *testing.T) {
 	})
 	var gotErr error
 	completed := false
-	tbd.Eng.Spawn("reader", func(p *sim.Proc) {
-		_, gotErr = cl.Read(p, tbd.ReplPool, obj, 0, 4096)
-		completed = true
+	tbd.Eng.Schedule(0, func() {
+		cl.ReadAsync(tbd.ReplPool, obj, 0, 4096, rados.ReqOpts{}, func(_ []byte, err error) {
+			gotErr, completed = err, true
+		})
 	})
 	tbd.Eng.Run()
 	if !completed {
@@ -261,7 +263,7 @@ func TestClientReadDeadlineFailsOver(t *testing.T) {
 	}
 }
 
-// TestDoDeadline pins the synchronous helper: a healthy op completes under a
+// TestDoDeadline pins a deadline wait on a stack: a healthy op completes under a
 // generous deadline; with every message dropped the same op returns
 // ErrDeadline after exactly d of simulated time.
 func TestDoDeadline(t *testing.T) {
@@ -275,13 +277,13 @@ func TestDoDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbd.Eng.Spawn("driver", func(p *sim.Proc) {
-		if err := DoDeadline(p, stack, Read, Seq, 0, 4096, 0, 50*sim.Millisecond); err != nil {
+	simtest.Spawn(tbd.Eng, "driver", func(p *simtest.Proc) {
+		if err := doDeadline(p, stack, Read, Seq, 0, 4096, 0, 50*sim.Millisecond); err != nil {
 			t.Errorf("healthy op under deadline: %v", err)
 		}
 		tbd.Fabric.SetFaultHook(func(src, dst *netsim.Host, n int) bool { return true })
 		start := p.Now()
-		err := DoDeadline(p, stack, Read, Seq, 0, 4096, 0, sim.Millisecond)
+		err := doDeadline(p, stack, Read, Seq, 0, 4096, 0, sim.Millisecond)
 		if !errors.Is(err, rados.ErrDeadline) {
 			t.Errorf("err = %v, want ErrDeadline", err)
 		}

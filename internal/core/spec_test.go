@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 func newSpecTestbed(t *testing.T) *Testbed {
@@ -46,9 +47,9 @@ func TestNamedSpecsBuild(t *testing.T) {
 				t.Errorf("stack name %q, want %q", stack.Name(), spec.Name)
 			}
 			var ioErr error
-			tb.Eng.Spawn("io", func(p *sim.Proc) {
+			simtest.Spawn(tb.Eng, "io", func(p *simtest.Proc) {
 				for i := 0; i < 4 && ioErr == nil; i++ {
-					ioErr = Do(p, stack, Write, Seq, int64(i)*4096, 4096, i)
+					ioErr = do(p, stack, Write, Seq, int64(i)*4096, 4096, i)
 				}
 			})
 			tb.Eng.Run()
@@ -168,8 +169,8 @@ func TestBuildStackHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ioErr error
-	tb.Eng.Spawn("io", func(p *sim.Proc) {
-		ioErr = Do(p, stack, Write, Seq, 0, 65536, 0)
+	simtest.Spawn(tb.Eng, "io", func(p *simtest.Proc) {
+		ioErr = do(p, stack, Write, Seq, 0, 65536, 0)
 	})
 	tb.Eng.Run()
 	stack.Close()
@@ -240,8 +241,8 @@ func TestSQFullBackoffDeterministic(t *testing.T) {
 		done := 0
 		for i := 0; i < 32; i++ {
 			off := int64(i) * 4096
-			tb.Eng.Spawn("io", func(p *sim.Proc) {
-				if err := Do(p, stack, Write, Seq, off, 4096, 0); err != nil {
+			simtest.Spawn(tb.Eng, "io", func(p *simtest.Proc) {
+				if err := do(p, stack, Write, Seq, off, 4096, 0); err != nil {
 					t.Errorf("write at %d: %v", off, err)
 				}
 				done++

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 func splitConfig() TestbedConfig {
@@ -38,7 +39,7 @@ func splitRunDigestCfg(t *testing.T, cfg TestbedConfig, seed uint64) (uint64, ui
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	tb.Eng.Spawn("split-io", func(p *sim.Proc) {
+	simtest.Spawn(tb.Eng, "split-io", func(p *simtest.Proc) {
 		rng := sim.NewRNG(seed)
 		for i := 0; i < 200; i++ {
 			op := Write
@@ -47,7 +48,7 @@ func splitRunDigestCfg(t *testing.T, cfg TestbedConfig, seed uint64) (uint64, ui
 			}
 			off := int64(rng.Intn(256)) * 4096
 			start := p.Now()
-			if err := Do(p, stack, op, Rand, off, 4096, 0); err != nil {
+			if err := do(p, stack, op, Rand, off, 4096, 0); err != nil {
 				t.Errorf("op %d: %v", i, err)
 				return
 			}

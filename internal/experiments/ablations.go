@@ -251,17 +251,24 @@ func DFX() (*DFXResult, error) {
 	// Live swap exercise: uniform → list → tree, as a cluster shrinks and
 	// grows.
 	var swapErr error
-	tb.Eng.Spawn("resize", func(p *sim.Proc) {
-		for _, k := range []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree} {
-			if err := shell.LoadDynKernel(p, k); err != nil {
+	eng := tb.Eng
+	kernels := []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree}
+	var swap func(i int)
+	swap = func(i int) {
+		if i == len(kernels) {
+			return
+		}
+		eng.AwaitFunc(func(done func(error)) { shell.LoadDynKernel(kernels[i], done) }, func(err error) {
+			if err != nil {
 				swapErr = err
 				return
 			}
 			// The static Straw2 kernel keeps serving while swapping.
-			p.Block(func(wake func()) { shell.Straw2.Select(2, wake) })
-		}
-	})
-	tb.Eng.Run()
+			shell.Straw2.Select(2, func() { swap(i + 1) })
+		})
+	}
+	eng.Schedule(0, func() { swap(0) })
+	eng.Run()
 	if swapErr != nil {
 		return nil, swapErr
 	}

@@ -70,14 +70,13 @@ func recoveryCell(cfg Config) (*RecoveryResult, error) {
 
 	res := &RecoveryResult{ObjectsStored: cfg.Ops / 2}
 	var runErr error
-	eng.Spawn("scenario", func(p *sim.Proc) {
-		for i := 0; i < res.ObjectsStored; i++ {
-			name := fmt.Sprintf("obj%04d", i)
-			if err := client.Write(p, pool, name, 0, make([]byte, 32*1024)); err != nil {
-				runErr = err
-				return
-			}
-		}
+	scrub := func() {
+		rados.NewScrubber(cluster).ScrubPool(pool, func(rep rados.ScrubReport, err error) {
+			runErr = err
+			res.ScrubClean = rep.Clean()
+		})
+	}
+	failAndBackfill := func() {
 		// Fail the OSD holding the most objects.
 		best, bestN := -1, -1
 		for id, o := range cluster.OSDs {
@@ -95,22 +94,33 @@ func recoveryCell(cfg Config) (*RecoveryResult, error) {
 		if runErr != nil {
 			return
 		}
-		rep, err := rados.NewBackfiller(cluster).BackfillPool(p, pool, before, after)
-		if err != nil {
-			runErr = err
+		eng.AwaitFunc(func(done func(error)) {
+			rados.NewBackfiller(cluster).BackfillPool(pool, before, after, func(rep rados.BackfillReport, err error) {
+				res.Moved = rep.ObjectsMoved
+				res.Bytes = rep.BytesMoved
+				res.Elapsed = rep.Elapsed
+				done(err)
+			})
+		}, func(err error) {
+			if runErr = err; err == nil {
+				scrub()
+			}
+		})
+	}
+	var store func(i int)
+	store = func(i int) {
+		if i == res.ObjectsStored {
+			failAndBackfill()
 			return
 		}
-		res.Moved = rep.ObjectsMoved
-		res.Bytes = rep.BytesMoved
-		res.Elapsed = rep.Elapsed
-
-		scrub, err := rados.NewScrubber(cluster).ScrubPool(p, pool)
-		if err != nil {
-			runErr = err
-			return
-		}
-		res.ScrubClean = scrub.Clean()
-	})
+		name := fmt.Sprintf("obj%04d", i)
+		client.WriteAsync(pool, name, 0, make([]byte, 32*1024), rados.ReqOpts{}, func(err error) {
+			if runErr = err; err == nil {
+				store(i + 1)
+			}
+		})
+	}
+	eng.Schedule(0, func() { store(0) })
 	eng.Run()
 	if runErr != nil {
 		return nil, runErr

@@ -136,15 +136,17 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 		return 0, err
 	}
 	var end sim.Time
-	tb.Eng.Spawn("hwexec", func(p *sim.Proc) {
+	eng := tb.Eng
+	// C2H result + completion.
+	finish := func() { eng.Schedule(2*sim.Microsecond, func() { end = eng.Now() }) }
+	eng.Schedule(0, func() {
 		// Host→card operand movement is part of the measured time on the
 		// real card; model it as a QDMA-class PCIe crossing.
-		p.Sleep(3 * sim.Microsecond)
-		if id == fpga.KRSEncoder {
-			p.Block(func(wake func()) {
-				shell.RS.Encode(4096, nil, func(error) { wake() })
-			})
-		} else {
+		eng.Schedule(3*sim.Microsecond, func() {
+			if id == fpga.KRSEncoder {
+				shell.RS.Encode(4096, nil, func(error) { finish() })
+				return
+			}
 			var acc *fpga.CrushAccel
 			switch id {
 			case fpga.KStraw:
@@ -154,14 +156,14 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 			default:
 				acc, _ = shell.DynAccel(id)
 			}
-			if acc != nil {
-				p.Block(func(wake func()) { acc.Select(2, wake) })
+			if acc == nil {
+				finish()
+				return
 			}
-		}
-		p.Sleep(2 * sim.Microsecond) // C2H result + completion
-		end = p.Now()
+			acc.Select(2, finish)
+		})
 	})
-	tb.Eng.Run()
+	eng.Run()
 	return sim.Duration(end), nil
 }
 
@@ -341,8 +343,8 @@ func Power() (*PowerResult, error) {
 			return 0, err
 		}
 		if !staticOnly {
-			tb.Eng.Spawn("load", func(p *sim.Proc) {
-				shell.LoadDynKernel(p, fpga.KUniform)
+			tb.Eng.Schedule(0, func() {
+				shell.LoadDynKernel(fpga.KUniform, func(error) {})
 			})
 			tb.Eng.Run()
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/crush"
 	"repro/internal/erasure"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 func TestResourcesArithmetic(t *testing.T) {
@@ -213,8 +214,8 @@ func TestShellDFXLifecycle(t *testing.T) {
 		t.Fatal("DynAccel before load succeeded")
 	}
 	var loadErr error
-	eng.Spawn("ops", func(p *sim.Proc) {
-		if loadErr = s.LoadDynKernel(p, KList); loadErr != nil {
+	simtest.Spawn(eng, "ops", func(p *simtest.Proc) {
+		if loadErr = load(p, s, KList); loadErr != nil {
 			return
 		}
 		if _, err := s.DynAccel(KList); err != nil {
@@ -226,7 +227,7 @@ func TestShellDFXLifecycle(t *testing.T) {
 			return
 		}
 		// Swap to tree.
-		if loadErr = s.LoadDynKernel(p, KTree); loadErr != nil {
+		if loadErr = load(p, s, KTree); loadErr != nil {
 			return
 		}
 		if _, err := s.DynAccel(KTree); err != nil {
@@ -246,15 +247,20 @@ func TestShellDFXLifecycle(t *testing.T) {
 	}
 }
 
+// load swaps s to kernel id from a test proc.
+func load(p *simtest.Proc, s *Shell, id KernelID) error {
+	return p.Await(func(done func(error)) { s.LoadDynKernel(id, done) })
+}
+
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
 
 func TestShellStaticBuildHasAllKernels(t *testing.T) {
 	eng, s := newShellT(t, true)
-	eng.Spawn("ops", func(p *sim.Proc) {
+	simtest.Spawn(eng, "ops", func(p *simtest.Proc) {
 		for _, id := range []KernelID{KUniform, KList, KTree} {
-			if err := s.LoadDynKernel(p, id); err != nil {
+			if err := load(p, s, id); err != nil {
 				t.Errorf("static load %v: %v", id, err)
 			}
 			if _, err := s.DynAccel(id); err != nil {
@@ -275,8 +281,8 @@ func TestShellPowerMatchesPaper(t *testing.T) {
 		t.Fatalf("static full-load power = %.1f W, want 195", got)
 	}
 	// Load one RM, then measure.
-	engD.Spawn("load", func(p *sim.Proc) {
-		if err := dfx.LoadDynKernel(p, KUniform); err != nil {
+	simtest.Spawn(engD, "load", func(p *simtest.Proc) {
+		if err := load(p, dfx, KUniform); err != nil {
 			t.Error(err)
 		}
 	})
@@ -369,8 +375,8 @@ func TestAcceleratorForAlg(t *testing.T) {
 	if _, err := s.AcceleratorFor(crush.ListAlg); err == nil {
 		t.Fatal("list available before DFX load")
 	}
-	eng.Spawn("load", func(p *sim.Proc) {
-		s.LoadDynKernel(p, KList)
+	simtest.Spawn(eng, "load", func(p *simtest.Proc) {
+		load(p, s, KList)
 	})
 	eng.Run()
 	if _, err := s.AcceleratorFor(crush.ListAlg); err != nil {

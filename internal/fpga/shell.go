@@ -179,12 +179,15 @@ func (s *Shell) DynAccel(id KernelID) (*CrushAccel, error) {
 	return a, nil
 }
 
-// LoadDynKernel swaps the RP to the given kernel (DFX builds only).
-func (s *Shell) LoadDynKernel(p *sim.Proc, id KernelID) error {
+// LoadDynKernel swaps the RP to the given kernel and calls done when it is
+// live (see RP.Reconfigure). A static build holds every kernel, so done
+// runs at once.
+func (s *Shell) LoadDynKernel(id KernelID, done func(err error)) {
 	if !s.UseDFX {
-		return nil // all kernels resident
+		done(nil)
+		return
 	}
-	return s.RP.ReconfigureWait(p, id.String())
+	s.RP.Reconfigure(id.String(), done)
 }
 
 // AcceleratorFor returns the placement accelerator matching a bucket

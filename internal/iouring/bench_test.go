@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // Benchmarks measure the simulator's real (host) cost of ring operations —
@@ -19,7 +20,7 @@ func BenchmarkSubmitCompleteBatch32(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Spawn("app", func(p *sim.Proc) {
+		simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 			for j := 0; j < 32; j++ {
 				sqe := r.GetSQE()
 				sqe.Op = OpNop
@@ -42,7 +43,7 @@ func BenchmarkSQPollPickup(b *testing.B) {
 		b.Fatal(err)
 	}
 	reaped := 0
-	eng.Spawn("reaper", func(p *sim.Proc) {
+	simtest.Spawn(eng, "reaper", func(p *simtest.Proc) {
 		for {
 			if _, err := waitCQE(p, r); err != nil {
 				return

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // orderTarget records dispatch order and can fail selected offsets.
@@ -34,7 +35,7 @@ func TestLinkedChainExecutesSequentially(t *testing.T) {
 	wrapped := &hookTarget{inner: ot, onSubmit: func() { starts = append(starts, eng.Now()) }}
 	r.target = wrapped
 
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		// write(0) -> write(1) -> fsync, linked.
 		for i, op := range []Op{OpWrite, OpWrite, OpFsync} {
 			sqe := r.GetSQE()
@@ -93,7 +94,7 @@ func TestLinkedChainFailureCancelsRest(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := map[uint64]int32{}
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		for i := 0; i < 4; i++ {
 			sqe := r.GetSQE()
 			sqe.Op = OpWrite
@@ -145,7 +146,7 @@ func TestDrainBarrierWaitsForInflight(t *testing.T) {
 			fsyncStart = eng.Now()
 		}
 	}}
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		// Two writes, then a drain-flagged fsync, then reap all.
 		for i := 0; i < 2; i++ {
 			sqe := r.GetSQE()
@@ -201,7 +202,7 @@ func TestRegisterBuffers(t *testing.T) {
 	}
 
 	results := map[uint64]int32{}
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		// Valid fixed buffer.
 		a := r.GetSQE()
 		a.Op = OpWrite
@@ -273,7 +274,7 @@ func TestLinkedChainSpansSQPollBatches(t *testing.T) {
 			r.target = &hookTarget{inner: ot, onSubmit: func() { starts = append(starts, eng.Now()) }}
 
 			results := map[uint64]int32{}
-			eng.Spawn("app", func(p *sim.Proc) {
+			simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 				// Publish the first two links, then stall long enough for the
 				// poller to drain them with the chain still open.
 				for i := 0; i < 2; i++ {
@@ -355,7 +356,7 @@ func TestLinkedChainTruncatesAtSubmitBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := map[uint64]int32{}
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		// Both SQEs carry FlagIOLink: the second one's link dangles past the
 		// submit window.
 		for i := 0; i < 2; i++ {

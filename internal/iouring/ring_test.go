@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // stubTarget completes each request after a fixed latency and records what
@@ -22,7 +23,7 @@ func (s *stubTarget) Submit(req Request, complete func(res int32)) {
 }
 
 // submitP is Ring.Submit blocking the calling proc until the enter returns.
-func submitP(p *sim.Proc, r *Ring) (n int, err error) {
+func submitP(p *simtest.Proc, r *Ring) (n int, err error) {
 	p.Block(func(wake func()) {
 		r.Submit(func(m int, e error) {
 			n, err = m, e
@@ -34,7 +35,7 @@ func submitP(p *sim.Proc, r *Ring) (n int, err error) {
 
 // waitCQE is Ring.WaitCQE blocking the calling proc until a completion is
 // reaped.
-func waitCQE(p *sim.Proc, r *Ring) (cqe CQE, err error) {
+func waitCQE(p *simtest.Proc, r *Ring) (cqe CQE, err error) {
 	p.Block(func(wake func()) {
 		r.WaitCQE(func(c CQE, e error) {
 			cqe, err = c, e
@@ -72,7 +73,7 @@ func TestSubmitAndComplete(t *testing.T) {
 	eng := sim.NewEngine()
 	r, st := newRingT(t, eng, Params{Entries: 8}, 10*sim.Microsecond)
 	var got []CQE
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		for i := 0; i < 4; i++ {
 			sqe := r.GetSQE()
 			if sqe == nil {
@@ -127,7 +128,7 @@ func TestBatchingAmortizesSyscalls(t *testing.T) {
 		eng := sim.NewEngine()
 		r, _ := newRingT(t, eng, Params{Entries: 64}, 0)
 		var spent sim.Duration
-		eng.Spawn("app", func(p *sim.Proc) {
+		simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 			start := p.Now()
 			for i := 0; i < 32; i += batch {
 				for j := 0; j < batch; j++ {
@@ -174,7 +175,7 @@ func TestSQFull(t *testing.T) {
 func TestSQPollModeNoSyscalls(t *testing.T) {
 	eng := sim.NewEngine()
 	r, st := newRingT(t, eng, Params{Entries: 8, Mode: SQPollMode}, 5*sim.Microsecond)
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		for i := 0; i < 3; i++ {
 			sqe := r.GetSQE()
 			sqe.Op = OpRead
@@ -218,7 +219,7 @@ func TestInterruptModeWakeupCost(t *testing.T) {
 		eng := sim.NewEngine()
 		r, _ := newRingT(t, eng, Params{Entries: 8, Mode: mode}, lat)
 		var done sim.Duration
-		eng.Spawn("app", func(p *sim.Proc) {
+		simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 			sqe := r.GetSQE()
 			sqe.Op = OpRead
 			sqe.Len = 4096
@@ -246,7 +247,7 @@ func TestRegisteredBuffersSkipCopy(t *testing.T) {
 	run := func(bufIndex int32) sim.Time {
 		eng := sim.NewEngine()
 		r, st := newRingT(t, eng, Params{Entries: 8}, lat)
-		eng.Spawn("app", func(p *sim.Proc) {
+		simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 			sqe := r.GetSQE()
 			sqe.Op = OpWrite
 			sqe.Len = 128 * 1024
@@ -274,7 +275,7 @@ func TestCQOverflowCounted(t *testing.T) {
 	eng := sim.NewEngine()
 	// SQ 4 → CQ 8. Complete 10 ops without reaping: 2 must overflow.
 	r, _ := newRingT(t, eng, Params{Entries: 4}, 0)
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		for round := 0; round < 3; round++ {
 			for i := 0; i < 4; i++ {
 				if sqe := r.GetSQE(); sqe != nil {
@@ -306,7 +307,7 @@ func TestClosedRing(t *testing.T) {
 	if r.GetSQE() != nil {
 		t.Fatal("GetSQE on closed ring")
 	}
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		if _, err := submitP(p, r); err != ErrRingClosed {
 			t.Errorf("Submit err = %v", err)
 		}
@@ -320,7 +321,7 @@ func TestClosedRing(t *testing.T) {
 func TestCPUAffinityForwarded(t *testing.T) {
 	eng := sim.NewEngine()
 	r, st := newRingT(t, eng, Params{Entries: 4, CPU: 5}, 0)
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		sqe := r.GetSQE()
 		sqe.Op = OpRead
 		submitP(p, r)
@@ -344,7 +345,7 @@ func TestRingConservationProperty(t *testing.T) {
 		var want uint64
 		seen := make(map[uint64]int)
 		ok := true
-		eng.Spawn("app", func(p *sim.Proc) {
+		simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 			var id uint64
 			for _, bs := range batchSizes {
 				n := int(bs%16) + 1
@@ -402,7 +403,7 @@ func TestConcurrentEntersNoDoubleDrain(t *testing.T) {
 		sqe.UserData = uint64(i)
 	}
 	for i := 0; i < 8; i++ {
-		eng.Spawn("enter", func(p *sim.Proc) {
+		simtest.Spawn(eng, "enter", func(p *simtest.Proc) {
 			submitP(p, r)
 		})
 	}
@@ -427,7 +428,7 @@ func TestConcurrentEntersNoDoubleDrain(t *testing.T) {
 func TestMaxInFlightTracked(t *testing.T) {
 	eng := sim.NewEngine()
 	r, _ := newRingT(t, eng, Params{Entries: 16}, 50*sim.Microsecond)
-	eng.Spawn("app", func(p *sim.Proc) {
+	simtest.Spawn(eng, "app", func(p *simtest.Proc) {
 		for i := 0; i < 8; i++ {
 			sqe := r.GetSQE()
 			sqe.Op = OpNop

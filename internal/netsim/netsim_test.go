@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 const tenGbE = 10e9
@@ -79,16 +80,23 @@ func TestRTLStackCheaperThanSoftware(t *testing.T) {
 	}
 }
 
+// TestSendWait checks that a sender waiting on Send's arrival callback
+// resumes once the receiver has processed the message: one idle one-way
+// trip after it sent.
 func TestSendWait(t *testing.T) {
 	eng, f, a, b := newFabricT(t)
 	var done sim.Time
-	eng.Spawn("sender", func(p *sim.Proc) {
-		f.SendWait(p, a, b, 1000)
+	simtest.Spawn(eng, "sender", func(p *simtest.Proc) {
+		p.Block(func(wake func()) { f.Send(a, b, 1000, wake) })
 		done = p.Now()
 	})
 	eng.Run()
 	if done == 0 {
-		t.Fatal("SendWait never returned")
+		t.Fatal("the sender never resumed")
+	}
+	oneWay := a.Stack.Cost(1000) + a.NIC.WireTime(1000) + f.Propagation() + b.Stack.Cost(1000)
+	if sim.Duration(done) != oneWay {
+		t.Fatalf("sender resumed at %v, want one idle one-way trip %v", done, oneWay)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 func newEngineT(t *testing.T) (*sim.Engine, *Engine) {
@@ -169,19 +170,24 @@ func TestReorderBufferLimitsLargeTransfers(t *testing.T) {
 	}
 }
 
+// TestTransferWait checks that a caller waiting on a transfer's completion
+// resumes after virtual time has passed, with the completion posted.
 func TestTransferWait(t *testing.T) {
 	eng, q := newEngineT(t)
 	qs, _ := q.AllocQueueSet(ReplicationQueue, nil)
 	var end sim.Time
-	eng.Spawn("xfer", func(p *sim.Proc) {
-		if err := qs.TransferWait(p, C2H, 1024, Descriptor{}); err != nil {
-			t.Error(err)
-		}
+	simtest.Spawn(eng, "xfer", func(p *simtest.Proc) {
+		p.Block(func(wake func()) {
+			if err := qs.Transfer(C2H, 1024, Descriptor{}, wake); err != nil {
+				t.Error(err)
+				wake()
+			}
+		})
 		end = p.Now()
 	})
 	eng.Run()
 	if end == 0 {
-		t.Fatal("TransferWait returned instantly")
+		t.Fatal("a transfer waited on completed instantly")
 	}
 	if qs.Completions() != 1 {
 		t.Fatal("completion not posted")

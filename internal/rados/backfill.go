@@ -44,19 +44,23 @@ type BackfillReport struct {
 }
 
 // BackfillPool moves every object whose placement changed between the two
-// reweight tables, from proc context. Replicated pools move whole objects;
-// EC pools move rank-addressed shards.
-func (b *Backfiller) BackfillPool(p *sim.Proc, pool *Pool, before, after []uint32) (BackfillReport, error) {
-	start := p.Now()
+// reweight tables and calls done with the report. Replicated pools move
+// whole objects; EC pools move rank-addressed shards. done runs inside the
+// event that lands the last copy, or at once when nothing moves or a
+// placement lookup fails (copies already under way still land).
+func (b *Backfiller) BackfillPool(pool *Pool, before, after []uint32, done func(BackfillReport, error)) {
 	eng := b.c.Eng
+	start := eng.Now()
 	rep := BackfillReport{Pool: pool.Name}
 	streams := eng.NewResource(b.Streams)
-	done := eng.NewCompletion()
-	outstanding := 0
+	// The scan holds one count until it has scheduled every copy, so a
+	// failed scan never completes.
+	outstanding := 1
 	finishOne := func() {
 		outstanding--
 		if outstanding == 0 {
-			done.Complete(nil, nil)
+			rep.Elapsed = eng.Now().Sub(start)
+			done(rep, nil)
 		}
 	}
 
@@ -71,11 +75,13 @@ func (b *Backfiller) BackfillPool(p *sim.Proc, pool *Pool, before, after []uint3
 		x := crush.Hash2(pg, uint32(pool.ID))
 		old, err := b.c.Map.Select(pool.rule, x, pool.Width(), before)
 		if err != nil {
-			return rep, err
+			done(rep, err)
+			return
 		}
 		new_, err := b.c.Map.Select(pool.rule, x, pool.Width(), after)
 		if err != nil {
-			return rep, err
+			done(rep, err)
+			return
 		}
 		moves := b.movesFor(pool, old, new_)
 		if len(moves) == 0 {
@@ -127,11 +133,7 @@ func (b *Backfiller) BackfillPool(p *sim.Proc, pool *Pool, before, after []uint3
 			}
 		}
 	}
-	if outstanding > 0 {
-		p.Await(done)
-	}
-	rep.Elapsed = p.Now().Sub(start)
-	return rep, nil
+	finishOne()
 }
 
 type shardMove struct {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/crush"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // failAndRecover writes data, marks an OSD out, backfills, and returns the
@@ -20,12 +21,12 @@ func TestBackfillRestoresRedundancy(t *testing.T) {
 
 	var rep BackfillReport
 	var failed int
-	eng.Spawn("scenario", func(p *sim.Proc) {
+	simtest.Spawn(eng, "scenario", func(p *simtest.Proc) {
 		for i := 0; i < objects; i++ {
 			name := fmt.Sprintf("obj%03d", i)
 			data := bytes.Repeat([]byte{byte(i)}, 2048+i)
 			payloads[name] = data
-			if err := cl.Write(p, pool, name, 0, data); err != nil {
+			if err := write(p, cl, pool, name, 0, data); err != nil {
 				t.Errorf("write %s: %v", name, err)
 			}
 		}
@@ -42,7 +43,7 @@ func TestBackfillRestoresRedundancy(t *testing.T) {
 		after := mon.Reweights()
 
 		var err error
-		rep, err = NewBackfiller(c).BackfillPool(p, pool, before, after)
+		rep, err = backfill(p, NewBackfiller(c), pool, before, after)
 		if err != nil {
 			t.Error(err)
 		}
@@ -89,9 +90,9 @@ func TestBackfillECShards(t *testing.T) {
 	}
 	var rep BackfillReport
 	var failed int
-	eng.Spawn("scenario", func(p *sim.Proc) {
+	simtest.Spawn(eng, "scenario", func(p *simtest.Proc) {
 		for i := 0; i < 6; i++ {
-			if err := cl.Write(p, pool, fmt.Sprintf("s%d", i), 0, payload); err != nil {
+			if err := write(p, cl, pool, fmt.Sprintf("s%d", i), 0, payload); err != nil {
 				t.Errorf("write: %v", err)
 			}
 		}
@@ -101,7 +102,7 @@ func TestBackfillECShards(t *testing.T) {
 		c.OSDs[failed].SetUp(false)
 		mon.MarkOut(failed)
 		var err error
-		rep, err = NewBackfiller(c).BackfillPool(p, pool, before, mon.Reweights())
+		rep, err = backfill(p, NewBackfiller(c), pool, before, mon.Reweights())
 		if err != nil {
 			t.Error(err)
 		}
@@ -109,7 +110,7 @@ func TestBackfillECShards(t *testing.T) {
 		// detour; then verify the stripes read back intact from the new
 		// layout.
 		for i := 0; i < 6; i++ {
-			got, err := cl.Read(p, pool, fmt.Sprintf("s%d", i), 0, len(payload))
+			got, err := read(p, cl, pool, fmt.Sprintf("s%d", i), 0, len(payload))
 			if err != nil {
 				t.Errorf("read s%d: %v", i, err)
 				continue
@@ -130,10 +131,10 @@ func TestBackfillNoChangeIsNoop(t *testing.T) {
 	mon := NewMonitor(c)
 	pool, _ := c.CreateReplicatedPool("p", 2, 32)
 	var rep BackfillReport
-	eng.Spawn("scenario", func(p *sim.Proc) {
-		cl.Write(p, pool, "x", 0, []byte("data"))
+	simtest.Spawn(eng, "scenario", func(p *simtest.Proc) {
+		write(p, cl, pool, "x", 0, []byte("data"))
 		var err error
-		rep, err = NewBackfiller(c).BackfillPool(p, pool, mon.Reweights(), mon.Reweights())
+		rep, err = backfill(p, NewBackfiller(c), pool, mon.Reweights(), mon.Reweights())
 		if err != nil {
 			t.Error(err)
 		}
@@ -152,9 +153,9 @@ func TestBackfillThrottleScalesTime(t *testing.T) {
 		// failure moves all 16 objects and the throttle is visible.
 		pool, _ := c.CreateReplicatedPool("p", 2, 1)
 		var rep BackfillReport
-		eng.Spawn("scenario", func(p *sim.Proc) {
+		simtest.Spawn(eng, "scenario", func(p *simtest.Proc) {
 			for i := 0; i < 16; i++ {
-				cl.Write(p, pool, fmt.Sprintf("o%02d", i), 0, make([]byte, 64*1024))
+				write(p, cl, pool, fmt.Sprintf("o%02d", i), 0, make([]byte, 64*1024))
 			}
 			before := mon.Reweights()
 			var failed int
@@ -169,7 +170,7 @@ func TestBackfillThrottleScalesTime(t *testing.T) {
 			bf := NewBackfiller(c)
 			bf.Streams = streams
 			var err error
-			rep, err = bf.BackfillPool(p, pool, before, mon.Reweights())
+			rep, err = backfill(p, bf, pool, before, mon.Reweights())
 			if err != nil {
 				t.Error(err)
 			}

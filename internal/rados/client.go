@@ -96,34 +96,6 @@ func (cl *Client) eng() *sim.Engine {
 	return cl.Cluster.Eng
 }
 
-// Write stores data at (obj, off) in the pool and returns when the write is
-// durable on all reachable placement targets. It blocks the proc on
-// WriteAsync and resumes it inside the event that completes the write.
-func (cl *Client) Write(p *sim.Proc, pool *Pool, obj string, off int, data []byte) error {
-	var err error
-	p.Block(func(wake func()) {
-		cl.WriteAsync(pool, obj, off, data, ReqOpts{}, func(e error) {
-			err = e
-			wake()
-		})
-	})
-	return err
-}
-
-// Read returns n bytes at (obj, off); see ReadAsync for the result's
-// lifetime.
-func (cl *Client) Read(p *sim.Proc, pool *Pool, obj string, off, n int) ([]byte, error) {
-	var data []byte
-	var err error
-	p.Block(func(wake func()) {
-		cl.ReadAsync(pool, obj, off, n, ReqOpts{}, func(d []byte, e error) {
-			data, err = d, e
-			wake()
-		})
-	})
-	return data, err
-}
-
 // WriteAsync stores data at (obj, off) in the pool and calls done once the
 // write is durable on all reachable placement targets. done runs inside
 // the event that completes the write, or synchronously when the write

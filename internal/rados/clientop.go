@@ -16,7 +16,7 @@ import (
 // moves on inline.
 //
 // The hops keep the proc code's event order exactly: a sleep is one
-// Schedule(d); a Fabric.SendWait is the Send plus one Schedule(0) after the
+// Schedule(d); a blocking send is the Send plus one Schedule(0) after the
 // arrival (the old completion hop); awaiting the legs resumes one event
 // after the first unobserved leg completes, as a sequential Await loop did.
 //
@@ -33,8 +33,8 @@ type clientOp struct {
 	cl  *Client
 	eng *sim.Engine
 	pc  int // stage advance re-enters at
-	// step re-enters advance; arrive is a SendWait arrival, which hops one
-	// event to step; legDone is every leg's completion (fire).
+	// step re-enters advance; arrive is a blocking send's arrival, which
+	// hops one event to step; legDone is every leg's completion (fire).
 	step, arrive func()
 	legDone      func(*Leg)
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 var keySink string
@@ -134,9 +135,9 @@ func TestClientSynchronousFailure(t *testing.T) {
 	}
 	var procErr error
 	var events uint64
-	eng.Spawn("io", func(p *sim.Proc) {
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
 		before := eng.Executed()
-		_, procErr = cl.Read(p, pool, "obj", 0, 1)
+		_, procErr = read(p, cl, pool, "obj", 0, 1)
 		events = eng.Executed() - before
 	})
 	eng.Run()
@@ -163,8 +164,8 @@ func TestECReadStopsAtFailedShard(t *testing.T) {
 	primary.SetSlow(20)
 	var readErr, againErr error
 	var again []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "stripe", 0, payload); err != nil {
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
+		if err := write(p, cl, pool, "stripe", 0, payload); err != nil {
 			t.Errorf("write: %v", err)
 			return
 		}
@@ -182,7 +183,7 @@ func TestECReadStopsAtFailedShard(t *testing.T) {
 			primary.SetUp(false)
 		}
 		eng.Schedule(0, crash)
-		_, readErr = cl.Read(p, pool, "stripe", 0, len(payload))
+		_, readErr = read(p, cl, pool, "stripe", 0, len(payload))
 		reading = false
 		if n := len(cl.free); n != 0 {
 			t.Errorf("read op recycled with shard reads still out (%d free)", n)
@@ -190,7 +191,7 @@ func TestECReadStopsAtFailedShard(t *testing.T) {
 		p.Sleep(sim.Millisecond)
 		primary.SetUp(true)
 		primary.SetSlow(1)
-		again, againErr = cl.Read(p, pool, "stripe", 0, len(payload))
+		again, againErr = read(p, cl, pool, "stripe", 0, len(payload))
 	})
 	eng.Run()
 	if !errors.Is(readErr, ErrOSDDown) {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/crush"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 func newMonCluster(t *testing.T) (*sim.Engine, *Cluster, *Monitor) {
@@ -193,10 +194,10 @@ func TestDegradedWriteDuringMarkOutWindow(t *testing.T) {
 	pool, _ := c.CreateReplicatedPool("p", 2, 64)
 	failures := 0
 	writes := 0
-	eng.Spawn("load", func(p *sim.Proc) {
+	simtest.Spawn(eng, "load", func(p *simtest.Proc) {
 		for i := 0; i < 40; i++ {
 			obj := objName(i)
-			if err := cl.Write(p, pool, obj, 0, make([]byte, 4096)); err != nil {
+			if err := write(p, cl, pool, obj, 0, make([]byte, 4096)); err != nil {
 				failures++
 			}
 			writes++

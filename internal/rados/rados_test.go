@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 func newTestCluster(t *testing.T) (*sim.Engine, *Cluster, *Client) {
@@ -24,6 +25,72 @@ func newTestCluster(t *testing.T) (*sim.Engine, *Cluster, *Client) {
 		t.Fatal(err)
 	}
 	return eng, c, cl
+}
+
+// write stores data from a test proc. The proc resumes inside the event
+// that completes the write, or at once when it fails synchronously.
+func write(p *simtest.Proc, cl *Client, pool *Pool, obj string, off int, data []byte) error {
+	var err error
+	p.Block(func(wake func()) {
+		cl.WriteAsync(pool, obj, off, data, ReqOpts{}, func(e error) {
+			err = e
+			wake()
+		})
+	})
+	return err
+}
+
+// read is write's counterpart for ReadAsync; the result is valid until
+// the next read.
+func read(p *simtest.Proc, cl *Client, pool *Pool, obj string, off, n int) ([]byte, error) {
+	var data []byte
+	var err error
+	p.Block(func(wake func()) {
+		cl.ReadAsync(pool, obj, off, n, ReqOpts{}, func(d []byte, e error) {
+			data, err = d, e
+			wake()
+		})
+	})
+	return data, err
+}
+
+// backfill runs a backfill pass from a test proc, resuming it one event
+// after the last copy lands.
+func backfill(p *simtest.Proc, b *Backfiller, pool *Pool, before, after []uint32) (BackfillReport, error) {
+	var rep BackfillReport
+	err := p.Await(func(done func(error)) {
+		b.BackfillPool(pool, before, after, func(r BackfillReport, e error) {
+			rep = r
+			done(e)
+		})
+	})
+	return rep, err
+}
+
+// scrub runs a scrub pass from a test proc.
+func scrub(p *simtest.Proc, s *Scrubber, pool *Pool) (ScrubReport, error) {
+	var rep ScrubReport
+	var err error
+	p.Block(func(wake func()) {
+		s.ScrubPool(pool, func(r ScrubReport, e error) {
+			rep, err = r, e
+			wake()
+		})
+	})
+	return rep, err
+}
+
+// repair repairs a scrub's findings from a test proc.
+func repair(p *simtest.Proc, s *Scrubber, pool *Pool, rep ScrubReport) (int, error) {
+	var fixed int
+	var err error
+	p.Block(func(wake func()) {
+		s.Repair(pool, rep, func(n int, e error) {
+			fixed, err = n, e
+			wake()
+		})
+	})
+	return fixed, err
 }
 
 func TestMemStore(t *testing.T) {
@@ -138,12 +205,12 @@ func TestReplicatedWriteReadRoundTrip(t *testing.T) {
 	}
 	payload := []byte("hello deliba-k replicated world")
 	var readBack []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "obj1", 0, payload); err != nil {
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
+		if err := write(p, cl, pool, "obj1", 0, payload); err != nil {
 			t.Errorf("write: %v", err)
 			return
 		}
-		readBack, err = cl.Read(p, pool, "obj1", 0, len(payload))
+		readBack, err = read(p, cl, pool, "obj1", 0, len(payload))
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
@@ -176,12 +243,12 @@ func TestReplicatedDegradedWriteRead(t *testing.T) {
 	c.OSDs[acting[0]].SetUp(false)
 	payload := []byte("degraded path data")
 	var readBack []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "objX", 0, payload); err != nil {
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
+		if err := write(p, cl, pool, "objX", 0, payload); err != nil {
 			t.Errorf("degraded write: %v", err)
 			return
 		}
-		readBack, err = cl.Read(p, pool, "objX", 0, len(payload))
+		readBack, err = read(p, cl, pool, "objX", 0, len(payload))
 		if err != nil {
 			t.Errorf("degraded read: %v", err)
 		}
@@ -206,12 +273,12 @@ func TestECWriteReadRoundTrip(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	var readBack []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "vol.0", 0, payload); err != nil {
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
+		if err := write(p, cl, pool, "vol.0", 0, payload); err != nil {
 			t.Errorf("ec write: %v", err)
 			return
 		}
-		readBack, err = cl.Read(p, pool, "vol.0", 0, len(payload))
+		readBack, err = read(p, cl, pool, "vol.0", 0, len(payload))
 		if err != nil {
 			t.Errorf("ec read: %v", err)
 		}
@@ -242,8 +309,8 @@ func TestECDegradedReadReconstructs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var readBack []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "vol.7", 0, payload); err != nil {
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
+		if err := write(p, cl, pool, "vol.7", 0, payload); err != nil {
 			t.Errorf("write: %v", err)
 			return
 		}
@@ -251,7 +318,7 @@ func TestECDegradedReadReconstructs(t *testing.T) {
 		// reconstruct from the remaining 4 shards.
 		c.OSDs[acting[0]].SetUp(false)
 		c.OSDs[acting[1]].SetUp(false)
-		readBack, err = cl.Read(p, pool, "vol.7", 0, len(payload))
+		readBack, err = read(p, cl, pool, "vol.7", 0, len(payload))
 		if err != nil {
 			t.Errorf("degraded read: %v", err)
 		}
@@ -270,8 +337,8 @@ func TestECWriteFailsBelowK(t *testing.T) {
 		c.OSDs[o].SetUp(false)
 	}
 	var gotErr error
-	eng.Spawn("io", func(p *sim.Proc) {
-		gotErr = cl.Write(p, pool, "volZ", 0, make([]byte, 1024))
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
+		gotErr = write(p, cl, pool, "volZ", 0, make([]byte, 1024))
 	})
 	eng.Run()
 	if gotErr == nil {
@@ -341,9 +408,9 @@ func TestWriteLatencyOrdering(t *testing.T) {
 		eng, c, cl := newTestCluster(t)
 		pool, _ := c.CreateReplicatedPool("p", replicas, 64)
 		var lat sim.Duration
-		eng.Spawn("io", func(p *sim.Proc) {
+		simtest.Spawn(eng, "io", func(p *simtest.Proc) {
 			start := p.Now()
-			if err := cl.Write(p, pool, "o", 0, make([]byte, size)); err != nil {
+			if err := write(p, cl, pool, "o", 0, make([]byte, size)); err != nil {
 				t.Errorf("write: %v", err)
 			}
 			lat = p.Now().Sub(start)

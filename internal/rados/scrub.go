@@ -47,28 +47,86 @@ type ScrubReport struct {
 // Clean reports whether the scrub found no damage.
 func (r ScrubReport) Clean() bool { return len(r.Inconsistencies) == 0 }
 
-// ScrubPool scans every object of the pool from proc context, charging
-// virtual read time per copy examined.
-func (s *Scrubber) ScrubPool(p *sim.Proc, pool *Pool) (ScrubReport, error) {
+// scrubCopy is one copy or EC shard a scrub reads or a repair writes.
+type scrubCopy struct {
+	osd, rank int
+	key       string
+	data      []byte
+}
+
+// ScrubPool scans every object of the pool and calls done with the report.
+// It charges ReadCost of virtual time before each copy it reads; an
+// object's copies are chosen when the scan reaches it. done runs inside the
+// event of the last read, or at once when nothing is read or a lookup
+// fails.
+func (s *Scrubber) ScrubPool(pool *Pool, done func(ScrubReport, error)) {
 	rep := ScrubReport{Pool: pool.Name}
 	objs := s.objectsOf(pool)
-	for _, obj := range objs {
-		rep.ObjectsScanned++
-		var inc *Inconsistency
-		var err error
-		if pool.Kind == ECPool {
-			inc, err = s.scrubECStripe(p, pool, obj)
-		} else {
-			inc, err = s.scrubReplicated(p, pool, obj)
-		}
+	// record adds object i's verdict; false means the scrub has failed.
+	record := func(i int, copies []scrubCopy) bool {
+		inc, err := s.verdict(pool, objs[i], copies)
 		if err != nil {
-			return rep, err
+			done(rep, err)
+			return false
 		}
 		if inc != nil {
 			rep.Inconsistencies = append(rep.Inconsistencies, *inc)
 		}
+		return true
 	}
-	return rep, nil
+	var scan func(i int)
+	scan = func(i int) {
+		for ; i < len(objs); i++ {
+			rep.ObjectsScanned++
+			copies, err := s.copiesOf(pool, objs[i])
+			if err != nil {
+				done(rep, err)
+				return
+			}
+			if len(copies) > 0 {
+				i := i
+				s.charge(copies, s.readCopy, func(error) {
+					if record(i, copies) {
+						scan(i + 1)
+					}
+				})
+				return
+			}
+			if !record(i, copies) {
+				return
+			}
+		}
+		done(rep, nil)
+	}
+	scan(0)
+}
+
+// charge runs io on each copy in turn, ReadCost of virtual time after the
+// previous one, then calls k. An io error stops the walk and goes to k;
+// with no copies k runs at once.
+func (s *Scrubber) charge(copies []scrubCopy, io func(*scrubCopy) error, k func(error)) {
+	var step func(j int)
+	step = func(j int) {
+		if j == len(copies) {
+			k(nil)
+			return
+		}
+		s.c.Eng.Schedule(s.ReadCost, func() {
+			if err := io(&copies[j]); err != nil {
+				k(err)
+				return
+			}
+			step(j + 1)
+		})
+	}
+	step(0)
+}
+
+// readCopy reads a whole copy from its MemStore.
+func (s *Scrubber) readCopy(c *scrubCopy) error {
+	ms := s.c.OSDs[c.osd].Store.(*MemStore)
+	c.data, _ = ms.Read(c.key, 0, ms.Size(c.key))
+	return nil
 }
 
 // objectsOf enumerates logical object names for the pool by scanning OSD
@@ -107,34 +165,48 @@ func lastIndex(s, sub string) int {
 	return -1
 }
 
-// scrubReplicated majority-compares the copies on the acting set.
-func (s *Scrubber) scrubReplicated(p *sim.Proc, pool *Pool, obj string) (*Inconsistency, error) {
-	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, obj))
+// copiesOf lists the copies a scrub of obj reads: every up acting
+// member's copy (replicated) or every stored shard of the stripe (EC).
+func (s *Scrubber) copiesOf(pool *Pool, obj string) ([]scrubCopy, error) {
+	ec := pool.Kind == ECPool
+	base := obj
+	if ec {
+		base = stripeBase(obj)
+	}
+	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, base))
 	if err != nil {
 		return nil, err
 	}
-	type copyData struct {
-		osd  int
-		data []byte
-	}
-	var copies []copyData
-	for _, o := range acting {
-		if o < 0 || !s.c.OSDs[o].Up() {
+	var copies []scrubCopy
+	for rank, o := range acting {
+		if (ec && rank >= pool.K+pool.M) || o < 0 || !s.c.OSDs[o].Up() {
 			continue
 		}
 		ms, ok := s.c.OSDs[o].Store.(*MemStore)
 		if !ok {
 			return nil, fmt.Errorf("rados: scrub requires MemStore clusters")
 		}
-		p.Sleep(s.ReadCost)
-		n := ms.Size(obj)
-		d, _ := ms.Read(obj, 0, n)
-		copies = append(copies, copyData{o, d})
+		key := obj
+		if ec {
+			key = StripeShard(obj, rank)
+			if ms.Size(key) == 0 {
+				continue
+			}
+		}
+		copies = append(copies, scrubCopy{osd: o, rank: rank, key: key})
+	}
+	return copies, nil
+}
+
+// verdict judges the copies read of obj: a majority vote by content for a
+// replicated object, a parity check for an EC stripe.
+func (s *Scrubber) verdict(pool *Pool, obj string, copies []scrubCopy) (*Inconsistency, error) {
+	if pool.Kind == ECPool {
+		return verifyStripe(pool, obj, copies)
 	}
 	if len(copies) < 2 {
 		return nil, nil
 	}
-	// Majority vote by content.
 	counts := map[string][]int{}
 	for _, c := range copies {
 		counts[string(c.data)] = append(counts[string(c.data)], c.osd)
@@ -161,40 +233,18 @@ func (s *Scrubber) scrubReplicated(p *sim.Proc, pool *Pool, obj string) (*Incons
 	return inc, nil
 }
 
-// scrubECStripe gathers all shards of a stripe and verifies parity.
-func (s *Scrubber) scrubECStripe(p *sim.Proc, pool *Pool, stripe string) (*Inconsistency, error) {
-	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, stripeBase(stripe)))
-	if err != nil {
-		return nil, err
-	}
+// verifyStripe checks a stripe's parity over the shards read.
+func verifyStripe(pool *Pool, stripe string, copies []scrubCopy) (*Inconsistency, error) {
 	shards := make([][]byte, pool.K+pool.M)
 	osdOf := make([]int, pool.K+pool.M)
-	for rank, o := range acting {
-		if rank >= len(shards) || o < 0 || !s.c.OSDs[o].Up() {
-			continue
-		}
-		ms, ok := s.c.OSDs[o].Store.(*MemStore)
-		if !ok {
-			return nil, fmt.Errorf("rados: scrub requires MemStore clusters")
-		}
-		key := StripeShard(stripe, rank)
-		if ms.Size(key) == 0 {
-			continue
-		}
-		p.Sleep(s.ReadCost)
-		d, _ := ms.Read(key, 0, ms.Size(key))
-		shards[rank] = d
-		osdOf[rank] = o
+	for _, c := range copies {
+		shards[c.rank] = c.data
+		osdOf[c.rank] = c.osd
 	}
-	complete := true
 	for _, sh := range shards {
 		if sh == nil {
-			complete = false
-			break
+			return nil, nil // degraded, not inconsistent
 		}
-	}
-	if !complete {
-		return nil, nil // degraded, not inconsistent
 	}
 	ok, err := pool.Code.Verify(shards)
 	if err != nil || ok {
@@ -228,68 +278,78 @@ func stripeBase(stripe string) string {
 }
 
 // Repair overwrites the bad copies found by a scrub with the majority /
-// reconstructed content. It returns how many copies were fixed.
-func (s *Scrubber) Repair(p *sim.Proc, pool *Pool, rep ScrubReport) (int, error) {
+// reconstructed content, charging ReadCost before each write, and calls
+// done with how many copies were fixed. done runs inside the event of the
+// last write, or at once when there is nothing to write or a lookup fails.
+func (s *Scrubber) Repair(pool *Pool, rep ScrubReport, done func(fixed int, err error)) {
 	fixed := 0
-	for _, inc := range rep.Inconsistencies {
-		if pool.Kind == ECPool {
-			n, err := s.repairEC(p, pool, inc)
-			if err != nil {
-				return fixed, err
-			}
-			fixed += n
-			continue
-		}
-		n, err := s.repairReplicated(p, pool, inc)
-		if err != nil {
-			return fixed, err
-		}
-		fixed += n
-	}
-	return fixed, nil
-}
-
-func (s *Scrubber) repairReplicated(p *sim.Proc, pool *Pool, inc Inconsistency) (int, error) {
-	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, inc.Object))
-	if err != nil {
-		return 0, err
-	}
-	bad := map[int]bool{}
-	for _, o := range inc.BadOSDs {
-		bad[o] = true
-	}
-	// Find a good copy.
-	var good []byte
-	for _, o := range acting {
-		if o < 0 || bad[o] || !s.c.OSDs[o].Up() {
-			continue
-		}
-		ms := s.c.OSDs[o].Store.(*MemStore)
-		good, _ = ms.Read(inc.Object, 0, ms.Size(inc.Object))
-		break
-	}
-	if good == nil {
-		return 0, fmt.Errorf("rados: no good copy of %s to repair from", inc.Object)
-	}
-	fixed := 0
-	for o := range bad {
-		p.Sleep(s.ReadCost)
-		if err := s.c.OSDs[o].Store.Write(inc.Object, 0, good); err != nil {
-			return fixed, err
+	write := func(c *scrubCopy) error {
+		if err := s.c.OSDs[c.osd].Store.Write(c.key, 0, c.data); err != nil {
+			return err
 		}
 		fixed++
+		return nil
 	}
-	return fixed, nil
+	var next func(i int)
+	next = func(i int) {
+		for ; i < len(rep.Inconsistencies); i++ {
+			fixes, err := s.fixesFor(pool, rep.Inconsistencies[i])
+			if err != nil {
+				done(fixed, err)
+				return
+			}
+			if len(fixes) > 0 {
+				i := i
+				s.charge(fixes, write, func(err error) {
+					if err != nil {
+						done(fixed, err)
+						return
+					}
+					next(i + 1)
+				})
+				return
+			}
+		}
+		done(fixed, nil)
+	}
+	next(0)
 }
 
-func (s *Scrubber) repairEC(p *sim.Proc, pool *Pool, inc Inconsistency) (int, error) {
-	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, stripeBase(inc.Object)))
+// fixesFor lists the writes that repair inc: a good copy onto each bad
+// replica, or each bad EC shard rebuilt from the good ones.
+func (s *Scrubber) fixesFor(pool *Pool, inc Inconsistency) ([]scrubCopy, error) {
+	ec := pool.Kind == ECPool
+	base := inc.Object
+	if ec {
+		base = stripeBase(inc.Object)
+	}
+	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, base))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	bad := map[int]bool{}
 	for _, o := range inc.BadOSDs {
 		bad[o] = true
+	}
+	var fixes []scrubCopy
+	if !ec {
+		// Find a good copy.
+		var good []byte
+		for _, o := range acting {
+			if o < 0 || bad[o] || !s.c.OSDs[o].Up() {
+				continue
+			}
+			ms := s.c.OSDs[o].Store.(*MemStore)
+			good, _ = ms.Read(inc.Object, 0, ms.Size(inc.Object))
+			break
+		}
+		if good == nil {
+			return nil, fmt.Errorf("rados: no good copy of %s to repair from", inc.Object)
+		}
+		for _, o := range inc.BadOSDs {
+			fixes = append(fixes, scrubCopy{osd: o, key: inc.Object, data: good})
+		}
+		return fixes, nil
 	}
 	shards := make([][]byte, pool.K+pool.M)
 	for rank, o := range acting {
@@ -305,19 +365,14 @@ func (s *Scrubber) repairEC(p *sim.Proc, pool *Pool, inc Inconsistency) (int, er
 		shards[rank] = d
 	}
 	if err := pool.Code.Reconstruct(shards); err != nil {
-		return 0, err
+		return nil, err
 	}
-	fixed := 0
 	for rank, o := range acting {
 		if rank >= len(shards) || o < 0 || !bad[o] {
 			continue
 		}
-		p.Sleep(s.ReadCost)
 		key := StripeShard(inc.Object, rank)
-		if err := s.c.OSDs[o].Store.Write(key, 0, shards[rank]); err != nil {
-			return fixed, err
-		}
-		fixed++
+		fixes = append(fixes, scrubCopy{osd: o, rank: rank, key: key, data: shards[rank]})
 	}
-	return fixed, nil
+	return fixes, nil
 }

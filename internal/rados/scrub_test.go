@@ -5,18 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 func TestScrubCleanPool(t *testing.T) {
 	eng, c, cl := newTestCluster(t)
 	pool, _ := c.CreateReplicatedPool("p", 3, 64)
 	var rep ScrubReport
-	eng.Spawn("io", func(p *sim.Proc) {
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
 		for i := 0; i < 5; i++ {
-			cl.Write(p, pool, objName(i), 0, []byte("payload-"+objName(i)))
+			write(p, cl, pool, objName(i), 0, []byte("payload-"+objName(i)))
 		}
 		var err error
-		rep, err = NewScrubber(c).ScrubPool(p, pool)
+		rep, err = scrub(p, NewScrubber(c), pool)
 		if err != nil {
 			t.Error(err)
 		}
@@ -34,8 +35,8 @@ func TestScrubDetectsAndRepairsBitrot(t *testing.T) {
 	var report ScrubReport
 	var fixed int
 	var badOSD int
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "victim", 0, payload); err != nil {
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
+		if err := write(p, cl, pool, "victim", 0, payload); err != nil {
 			t.Error(err)
 			return
 		}
@@ -46,12 +47,12 @@ func TestScrubDetectsAndRepairsBitrot(t *testing.T) {
 
 		sc := NewScrubber(c)
 		var err error
-		report, err = sc.ScrubPool(p, pool)
+		report, err = scrub(p, sc, pool)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		fixed, err = sc.Repair(p, pool, report)
+		fixed, err = repair(p, sc, pool, report)
 		if err != nil {
 			t.Error(err)
 		}
@@ -72,8 +73,8 @@ func TestScrubDetectsAndRepairsBitrot(t *testing.T) {
 	}
 	// Post-repair scrub is clean and the copy matches.
 	var clean bool
-	eng.Spawn("verify", func(p *sim.Proc) {
-		rep2, err := NewScrubber(c).ScrubPool(p, pool)
+	simtest.Spawn(eng, "verify", func(p *simtest.Proc) {
+		rep2, err := scrub(p, NewScrubber(c), pool)
 		if err != nil {
 			t.Error(err)
 			return
@@ -99,8 +100,8 @@ func TestScrubECParityDamage(t *testing.T) {
 	}
 	var report ScrubReport
 	var fixed int
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "stripe", 0, payload); err != nil {
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
+		if err := write(p, cl, pool, "stripe", 0, payload); err != nil {
 			t.Error(err)
 			return
 		}
@@ -110,12 +111,12 @@ func TestScrubECParityDamage(t *testing.T) {
 
 		sc := NewScrubber(c)
 		var err error
-		report, err = sc.ScrubPool(p, pool)
+		report, err = scrub(p, sc, pool)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		fixed, err = sc.Repair(p, pool, report)
+		fixed, err = repair(p, sc, pool, report)
 		if err != nil {
 			t.Error(err)
 		}
@@ -129,9 +130,9 @@ func TestScrubECParityDamage(t *testing.T) {
 	}
 	// The stripe must read back intact.
 	var got []byte
-	eng.Spawn("read", func(p *sim.Proc) {
+	simtest.Spawn(eng, "read", func(p *simtest.Proc) {
 		var err error
-		got, err = cl.Read(p, pool, "stripe", 0, len(payload))
+		got, err = read(p, cl, pool, "stripe", 0, len(payload))
 		if err != nil {
 			t.Error(err)
 		}
@@ -146,10 +147,10 @@ func TestScrubChargesTime(t *testing.T) {
 	eng, c, cl := newTestCluster(t)
 	pool, _ := c.CreateReplicatedPool("p", 2, 64)
 	var before, after sim.Time
-	eng.Spawn("io", func(p *sim.Proc) {
-		cl.Write(p, pool, "o", 0, []byte("x"))
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
+		write(p, cl, pool, "o", 0, []byte("x"))
 		before = p.Now()
-		NewScrubber(c).ScrubPool(p, pool)
+		scrub(p, NewScrubber(c), pool)
 		after = p.Now()
 	})
 	eng.Run()

@@ -8,6 +8,8 @@ package rbd
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/rados"
 )
@@ -69,8 +71,28 @@ func (im *Image) ObjectName(i int64) string {
 	return im.names[i]
 }
 
+// objectName formats "rbd_data.<image>.<i as %016x>" into one sized
+// buffer, so a name costs one allocation.
 func objectName(image string, i int64) string {
-	return fmt.Sprintf("rbd_data.%s.%016x", image, i)
+	const prefix = "rbd_data."
+	u, sign, width := uint64(i), "", 16
+	if i < 0 {
+		// %016x keeps the sign inside the width.
+		u, sign, width = -uint64(i), "-", 15
+	}
+	var hex [16]byte
+	digits := strconv.AppendUint(hex[:0], u, 16)
+	var b strings.Builder
+	b.Grow(len(prefix) + len(image) + 1 + len(sign) + max(width, len(digits)))
+	b.WriteString(prefix)
+	b.WriteString(image)
+	b.WriteByte('.')
+	b.WriteString(sign)
+	for n := len(digits); n < width; n++ {
+		b.WriteByte('0')
+	}
+	b.Write(digits)
+	return b.String()
 }
 
 // Extent is a contiguous byte range within one backing object.

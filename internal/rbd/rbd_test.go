@@ -1,6 +1,8 @@
 package rbd
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/netsim"
@@ -53,7 +55,9 @@ func TestObjectNaming(t *testing.T) {
 
 // TestObjectNameMemoPin pins the memoised names: exactly the rbd_data
 // convention for the first, a middle and the last object, the same string
-// on every call, and no allocation once a name has been built.
+// on every call, no allocation once a name has been built and at most one
+// for a first build. The names match fmt's "%016x" byte for byte, the
+// sign of a negative index included.
 func TestObjectNameMemoPin(t *testing.T) {
 	pool := newPool(t)
 	im, _ := NewImage("vol7", 8<<30, 4<<20, pool)
@@ -75,9 +79,18 @@ func TestObjectNameMemoPin(t *testing.T) {
 			t.Errorf("repeat ObjectName(%d) allocated %.1f/call, want 0", c.idx, allocs)
 		}
 	}
-	// Indexes past the image still name an object, outside the memo.
+	// Indexes past the image still name an object, outside the memo, so
+	// every call is a first build.
 	if got := im.ObjectName(last + 1); got != "rbd_data.vol7.0000000000000800" {
 		t.Fatalf("ObjectName past the end = %q", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { im.ObjectName(last + 1) }); allocs > 1 {
+		t.Errorf("first build of a name allocated %.1f/call, want at most 1", allocs)
+	}
+	for _, i := range []int64{0, 1, 0xabc, last, 1<<62 + 5, math.MaxInt64, -1, -0xff, math.MinInt64} {
+		if got, want := objectName("vol7", i), fmt.Sprintf("rbd_data.%s.%016x", "vol7", i); got != want {
+			t.Errorf("objectName(%d) = %q, want %q", i, got, want)
+		}
 	}
 }
 

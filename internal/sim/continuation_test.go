@@ -1,11 +1,16 @@
 package sim
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
-// TestResourceFIFOMixedWaiters checks that proc waiters (Acquire) and
-// continuation waiters (AcquireFunc) share one FIFO queue: with the single
-// unit held, four waiters of alternating kinds are served in arrival order,
-// each when the previous holder releases.
+// TestResourceFIFOMixedWaiters checks that waiters queued by a sequential
+// driver's event hops and by plain AcquireFunc callers share one FIFO
+// queue: with the single unit held, four waiters of alternating kinds are
+// served in arrival order, each when the previous holder releases. A
+// driver waiter is a spawn event, a sleep until it arrives, AcquireFunc,
+// then a sleep while it holds the unit.
 func TestResourceFIFOMixedWaiters(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource(1)
@@ -21,19 +26,15 @@ func TestResourceFIFOMixedWaiters(t *testing.T) {
 			e.Schedule(10, func() { r.Release(1) })
 		}
 	}
-	procWaiter := func(name string, arrive Duration) {
-		e.Spawn(name, func(p *Proc) {
-			p.Sleep(arrive)
-			r.Acquire(p, 1)
-			served(name)
-			p.Sleep(10)
-			r.Release(1)
+	driverWaiter := func(name string, arrive Duration) {
+		e.Schedule(0, func() {
+			e.Schedule(arrive, func() { r.AcquireFunc(1, hold(name)) })
 		})
 	}
 	r.AcquireFunc(1, hold("holder")) // free: runs inline
-	procWaiter("p1", 1)
+	driverWaiter("p1", 1)
 	e.Schedule(2, func() { r.AcquireFunc(1, hold("f1")) })
-	procWaiter("p2", 3)
+	driverWaiter("p2", 3)
 	e.Schedule(4, func() { r.AcquireFunc(1, hold("f2")) })
 	e.Run()
 	want := []string{"holder", "p1", "f1", "p2", "f2"}
@@ -72,33 +73,6 @@ func TestAcquireFuncRespectsQueue(t *testing.T) {
 	}
 }
 
-// TestBlockSynchronousWake checks that a wake invoked inside register
-// returns from Block at once, without suspending the proc or consuming an
-// event, and that a later wake resumes the proc inside the waking event.
-func TestBlockSynchronousWake(t *testing.T) {
-	e := NewEngine()
-	var syncAt, asyncAt Time
-	var events uint64
-	e.Spawn("p", func(p *Proc) {
-		before := e.Executed()
-		p.Block(func(wake func()) { wake() })
-		syncAt = p.Now()
-		events = e.Executed() - before
-		p.Block(func(wake func()) { e.Schedule(25, wake) })
-		asyncAt = p.Now()
-	})
-	e.Run()
-	if syncAt != 0 || events != 0 {
-		t.Fatalf("synchronous wake returned at %v after %d events, want 0 and 0", syncAt, events)
-	}
-	if asyncAt != 25 {
-		t.Fatalf("asynchronous wake resumed at %v, want 25", asyncAt)
-	}
-	if e.Spawned() != 1 {
-		t.Fatalf("Spawned = %d, want 1", e.Spawned())
-	}
-}
-
 // TestResourceBacklogBounded keeps a lane queue permanently backlogged —
 // one waiter arrives for every one served, so it never drains — and checks
 // that the wait queue's storage stays proportional to the backlog.
@@ -126,4 +100,47 @@ func TestResourceBacklogBounded(t *testing.T) {
 	if c := cap(r.waiters); c > 64 {
 		t.Fatalf("wait queue capacity %d after a 15-deep backlog, want <= 64", c)
 	}
+}
+
+// TestAwaitFuncHop pins AwaitFunc's timing, the one-shot wait of the
+// event-hop rule: an operation completing from a later event hands its
+// error to k in one more event at the same time, and one completing
+// synchronously hands it to k inline, after call returns, in no event.
+func TestAwaitFuncHop(t *testing.T) {
+	e := NewEngine()
+	errBoom := errors.New("boom")
+	var gotErr error
+	var at Time
+	var hops uint64
+	e.AwaitFunc(func(done func(error)) {
+		e.Schedule(42, func() {
+			done(errBoom)
+			hops = e.Executed()
+		})
+	}, func(err error) {
+		gotErr, at = err, e.Now()
+		hops = e.Executed() - hops
+	})
+	e.Run()
+	if gotErr != errBoom || at != 42 || hops != 1 {
+		t.Fatalf("async: err=%v at %v after %d events, want boom at 42 after 1", gotErr, at, hops)
+	}
+
+	e.Schedule(10, func() {
+		returned, ran := false, false
+		before := e.Executed()
+		e.AwaitFunc(func(done func(error)) {
+			done(errBoom)
+			returned = true
+		}, func(err error) {
+			ran = true
+			if !returned || err != errBoom || e.Now() != 52 || e.Executed() != before {
+				t.Errorf("sync: k ran before call returned=%v err=%v at %v", !returned, err, e.Now())
+			}
+		})
+		if !ran {
+			t.Error("sync: k did not run inline")
+		}
+	})
+	e.Run()
 }

@@ -12,8 +12,8 @@
 // continuations: callbacks chained through Schedule, Resource.AcquireFunc
 // and completion callbacks, with per-op state in pooled records. Long-lived
 // actors (ring reapers, load generators, background flushers, monitors) are
-// self-rescheduling continuations too. Coroutine-style Procs, each on its
-// own goroutine, remain only for one-shot scenario drivers; see Proc.
+// self-rescheduling continuations too, so the engine runs only events.
+// Sequential scenarios in tests run on package simtest's Procs.
 //
 // For city-scale topologies an Engine can instead be one shard of a Shards
 // group (see shard.go): each shard runs its own event loop on its own
@@ -184,11 +184,10 @@ func (h *eventHeap) removeAt(i int) *event {
 func (h *eventHeap) pop() *event { return h.removeAt(0) }
 
 // yieldEvery is how many events RunUntil dispatches between
-// runtime.Gosched calls. An engine whose actors are all continuations never
-// blocks, so at GOMAXPROCS=1 its loop would hold the only P for the whole
-// run. The Proc channel hand-offs used to be the only points where the
-// GC's background mark worker got to run; without a yield a mark phase
-// stretches over many more allocations and the heap peaks higher.
+// runtime.Gosched calls. The engine's actors are all continuations, so its
+// loop never blocks and at GOMAXPROCS=1 would hold the only P for the whole
+// run: the GC's background mark worker would not get to run, a mark phase
+// would stretch over many more allocations and the heap would peak higher.
 const yieldEvery = 1024
 
 // defaultFreeCap bounds how many recycled event structs an engine retains.
@@ -209,7 +208,6 @@ type Engine struct {
 	freeCap  int      // retention bound for free
 	running  bool
 	stopped  bool
-	spawned  uint64 // coroutine processes ever spawned
 	executed uint64 // events dispatched (stats)
 
 	// group/shard link this engine to a Shards front end; nil for a plain
@@ -231,11 +229,6 @@ func (e *Engine) Pending() int { return len(e.pq) }
 
 // Executed reports the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
-
-// Spawned reports the number of Procs spawned so far. Per-op paths run as
-// continuations, so in steady state it grows only when a long-lived actor
-// starts.
-func (e *Engine) Spawned() uint64 { return e.spawned }
 
 // Reserve pre-sizes the event heap and freelist for roughly n concurrently
 // scheduled events — a topology hint, so large-cluster runs do not grow the
@@ -303,6 +296,26 @@ func (e *Engine) recycle(ev *event) {
 		return
 	}
 	e.free = append(e.free, ev)
+}
+
+// AwaitFunc starts call and hands its outcome to k one event after call
+// completes, or inline, after call returns, when call completes
+// synchronously. The hop keeps a continuation's event order where a
+// sequential driver used to wait on a one-shot completion.
+func (e *Engine) AwaitFunc(call func(done func(error)), k func(error)) {
+	calling, fired := true, false
+	var syncErr error
+	call(func(err error) {
+		if calling {
+			fired, syncErr = true, err
+			return
+		}
+		e.Schedule(0, func() { k(err) })
+	})
+	calling = false
+	if fired {
+		k(syncErr)
+	}
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or

@@ -1,8 +1,6 @@
 package uifd
 
 import (
-	"fmt"
-
 	"repro/internal/blockmq"
 	"repro/internal/sim"
 	"repro/internal/zoned"
@@ -66,26 +64,21 @@ func (d *ZonedDriver) ResetZone(zone int, done func(error)) {
 	d.svc.SubmitReset(zone, done)
 }
 
-// AppendWait performs a ZNS zone append from proc context, returning the
-// allocated offset: the interface io_uring exposes as
-// IORING_OP_URING_CMD/NVME_ZNS append on real kernels.
-func (d *ZonedDriver) AppendWait(p *sim.Proc, zone, n int) (int64, error) {
-	// Zone appends pay the write service cost; the device picks the
-	// offset, so this bypasses the offset-validating write path.
-	comp := d.eng.NewCompletion()
-	d.eng.Spawn("zns-append", func(pp *sim.Proc) {
-		pp.Sleep(d.svc.WriteBase + sim.Duration(int64(d.svc.PerKiB)*int64(n)/1024))
-		off, err := d.svc.Dev.Append(zone, n)
-		comp.Complete(off, err)
+// Append performs a ZNS zone append, the interface io_uring exposes as
+// IORING_OP_URING_CMD/NVME_ZNS append on real kernels: after the write
+// service cost the device picks the offset, and done gets it.
+func (d *ZonedDriver) Append(zone, n int, done func(off int64, err error)) {
+	// Zone appends pay the write service cost, starting from the next
+	// event; the device picks the offset, so this bypasses the
+	// offset-validating write path.
+	cost := d.svc.WriteBase + sim.Duration(int64(d.svc.PerKiB)*int64(n)/1024)
+	d.eng.Schedule(0, func() {
+		d.eng.Schedule(cost, func() {
+			off, err := d.svc.Dev.Append(zone, n)
+			if err == nil {
+				d.writes++
+			}
+			done(off, err)
+		})
 	})
-	v, err := p.Await(comp)
-	if err != nil {
-		return 0, err
-	}
-	off, ok := v.(int64)
-	if !ok {
-		return 0, fmt.Errorf("uifd: bad append result")
-	}
-	d.writes++
-	return off, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/blockmq"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/zoned"
 )
 
@@ -25,17 +26,19 @@ func newZonedStack(t *testing.T) (*sim.Engine, *blockmq.MQ, *ZonedDriver) {
 	return eng, mq, drv
 }
 
+// submit sends one request through the block layer from a test proc and
+// returns its outcome, resuming one event after it completes.
+func submit(p *simtest.Proc, mq *blockmq.MQ, op blockmq.OpType, off int64, n, cpu int) error {
+	return p.Await(func(done func(error)) { mq.SubmitAsync(op, off, n, 0, cpu, done) })
+}
+
 func TestZonedSequentialWriteThroughMQ(t *testing.T) {
 	eng, mq, drv := newZonedStack(t)
 	var errs []error
-	eng.Spawn("writer", func(p *sim.Proc) {
+	simtest.Spawn(eng, "writer", func(p *simtest.Proc) {
 		// Sequential writes into zone 0 succeed.
 		for i := 0; i < 4; i++ {
-			c := eng.NewCompletion()
-			mq.Submit(p, blockmq.OpWrite, int64(i)*4096, 4096, 0, func(err error) {
-				c.Complete(nil, err)
-			})
-			if _, err := p.Await(c); err != nil {
+			if err := submit(p, mq, blockmq.OpWrite, int64(i)*4096, 4096, 0); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -56,13 +59,9 @@ func TestZonedSequentialWriteThroughMQ(t *testing.T) {
 func TestZonedContractViolationSurfacesAsIOError(t *testing.T) {
 	eng, mq, drv := newZonedStack(t)
 	var gotErr error
-	eng.Spawn("writer", func(p *sim.Proc) {
+	simtest.Spawn(eng, "writer", func(p *simtest.Proc) {
 		// A write not at the write pointer must fail through the stack.
-		c := eng.NewCompletion()
-		mq.Submit(p, blockmq.OpWrite, 8192, 4096, 0, func(err error) {
-			c.Complete(nil, err)
-		})
-		_, gotErr = p.Await(c)
+		gotErr = submit(p, mq, blockmq.OpWrite, 8192, 4096, 0)
 	})
 	eng.Run()
 	if gotErr != zoned.ErrNotWritePointer {
@@ -75,24 +74,16 @@ func TestZonedContractViolationSurfacesAsIOError(t *testing.T) {
 
 func TestZonedReadAndResetThroughDriver(t *testing.T) {
 	eng, mq, drv := newZonedStack(t)
-	eng.Spawn("io", func(p *sim.Proc) {
-		c1 := eng.NewCompletion()
-		mq.Submit(p, blockmq.OpWrite, 0, 8192, 0, func(err error) { c1.Complete(nil, err) })
-		p.Await(c1)
-		c2 := eng.NewCompletion()
-		mq.Submit(p, blockmq.OpRead, 0, 8192, 1, func(err error) { c2.Complete(nil, err) })
-		if _, err := p.Await(c2); err != nil {
+	simtest.Spawn(eng, "io", func(p *simtest.Proc) {
+		submit(p, mq, blockmq.OpWrite, 0, 8192, 0)
+		if err := submit(p, mq, blockmq.OpRead, 0, 8192, 1); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		// Reset and verify the zone is reusable.
-		c3 := eng.NewCompletion()
-		drv.ResetZone(0, func(err error) { c3.Complete(nil, err) })
-		if _, err := p.Await(c3); err != nil {
+		if err := p.Await(func(done func(error)) { drv.ResetZone(0, done) }); err != nil {
 			t.Errorf("reset: %v", err)
 		}
-		c4 := eng.NewCompletion()
-		mq.Submit(p, blockmq.OpWrite, 0, 4096, 0, func(err error) { c4.Complete(nil, err) })
-		if _, err := p.Await(c4); err != nil {
+		if err := submit(p, mq, blockmq.OpWrite, 0, 4096, 0); err != nil {
 			t.Errorf("write after reset: %v", err)
 		}
 	})
@@ -102,12 +93,20 @@ func TestZonedReadAndResetThroughDriver(t *testing.T) {
 	}
 }
 
+// TestZonedAppendWait checks that appends waited on in turn land
+// contiguously at device-chosen offsets and cost virtual time.
 func TestZonedAppendWait(t *testing.T) {
 	eng, _, drv := newZonedStack(t)
 	var offs []int64
-	eng.Spawn("appender", func(p *sim.Proc) {
+	simtest.Spawn(eng, "appender", func(p *simtest.Proc) {
 		for i := 0; i < 3; i++ {
-			off, err := drv.AppendWait(p, 2, 4096)
+			var off int64
+			err := p.Await(func(done func(error)) {
+				drv.Append(2, 4096, func(o int64, err error) {
+					off = o
+					done(err)
+				})
+			})
 			if err != nil {
 				t.Errorf("append %d: %v", i, err)
 				return

@@ -43,8 +43,8 @@ func newStackT(t *testing.T, hwQueues int) (*sim.Engine, *blockmq.MQ, *Driver, *
 func TestWritePath(t *testing.T) {
 	eng, mq, drv, be := newStackT(t, 2)
 	var done sim.Time
-	eng.Spawn("io", func(p *sim.Proc) {
-		mq.Submit(p, blockmq.OpWrite, 4096, 4096, 0, func(err error) {
+	eng.Schedule(0, func() {
+		mq.SubmitAsync(blockmq.OpWrite, 4096, 4096, 0, 0, func(err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -73,8 +73,8 @@ func TestReadPathMovesPayloadC2H(t *testing.T) {
 	measure := func(op blockmq.OpType) sim.Duration {
 		eng, mq, _, _ := newStackT(t, 1)
 		var done sim.Time
-		eng.Spawn("io", func(p *sim.Proc) {
-			mq.Submit(p, op, 0, 1<<20, 0, func(error) { done = eng.Now() })
+		eng.Schedule(0, func() {
+			mq.SubmitAsync(op, 0, 1<<20, 0, 0, func(error) { done = eng.Now() })
 		})
 		eng.Run()
 		return sim.Duration(done)
@@ -95,8 +95,8 @@ func TestBackendErrorPropagates(t *testing.T) {
 	eng, mq, _, be := newStackT(t, 1)
 	be.err = errors.New("osd down")
 	var got error
-	eng.Spawn("io", func(p *sim.Proc) {
-		mq.Submit(p, blockmq.OpWrite, 0, 512, 0, func(err error) { got = err })
+	eng.Schedule(0, func() {
+		mq.SubmitAsync(blockmq.OpWrite, 0, 512, 0, 0, func(err error) { got = err })
 	})
 	eng.Run()
 	if got == nil || got.Error() != "osd down" {
@@ -109,9 +109,9 @@ func TestPerHctxQueueSets(t *testing.T) {
 	if len(drv.QueueSets()) != 4 {
 		t.Fatalf("queue sets = %d", len(drv.QueueSets()))
 	}
-	eng.Spawn("io", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		for cpu := 0; cpu < 4; cpu++ {
-			mq.Submit(p, blockmq.OpWrite, int64(cpu)*4096, 4096, cpu, nil)
+			mq.SubmitAsync(blockmq.OpWrite, int64(cpu)*4096, 4096, 0, cpu, nil)
 		}
 	})
 	eng.Run()
@@ -157,9 +157,9 @@ func TestTenancyIsolation(t *testing.T) {
 	// Each tenant's requests carry its tenant id.
 	mqPF, _ := blockmq.New(eng, blockmq.Config{CPUs: 2, HWQueues: 2, TagsPerHW: 4, Bypass: true}, pf)
 	mqVF, _ := blockmq.New(eng, blockmq.Config{CPUs: 2, HWQueues: 2, TagsPerHW: 4, Bypass: true}, vf)
-	eng.Spawn("io", func(p *sim.Proc) {
-		mqPF.Submit(p, blockmq.OpWrite, 0, 512, 0, nil)
-		mqVF.Submit(p, blockmq.OpWrite, 0, 512, 0, nil)
+	eng.Schedule(0, func() {
+		mqPF.SubmitAsync(blockmq.OpWrite, 0, 512, 0, 0, nil)
+		mqVF.SubmitAsync(blockmq.OpWrite, 0, 512, 0, 0, nil)
 	})
 	eng.Run()
 	tenants := map[int]bool{}
@@ -181,8 +181,8 @@ func TestCMACOnlyPath(t *testing.T) {
 	}
 	mq, _ := blockmq.New(eng, blockmq.Config{CPUs: 1, HWQueues: 1, TagsPerHW: 4, Bypass: true}, drv)
 	var done bool
-	eng.Spawn("io", func(p *sim.Proc) {
-		mq.Submit(p, blockmq.OpWrite, 0, 64, 0, func(err error) { done = err == nil })
+	eng.Schedule(0, func() {
+		mq.SubmitAsync(blockmq.OpWrite, 0, 64, 0, 0, func(err error) { done = err == nil })
 	})
 	eng.Run()
 	if !done {

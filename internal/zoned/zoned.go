@@ -486,11 +486,15 @@ func (m *ServiceModel) SubmitReset(zone int, done func(error)) {
 	m.timed(m.ResetCost, func() error { return m.Dev.Reset(zone) }, done)
 }
 
+// timed runs op on a media lane: from the next event it queues for a lane,
+// holds it for cost, then releases it and reports op's outcome.
 func (m *ServiceModel) timed(cost sim.Duration, op func() error, done func(error)) {
-	m.eng.Spawn("zoned-op", func(p *sim.Proc) {
-		m.lane.Acquire(p, 1)
-		p.Sleep(cost)
-		m.lane.Release(1)
-		done(op())
+	m.eng.Schedule(0, func() {
+		m.lane.AcquireFunc(1, func() {
+			m.eng.Schedule(cost, func() {
+				m.lane.Release(1)
+				done(op())
+			})
+		})
 	})
 }
